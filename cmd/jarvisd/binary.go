@@ -6,10 +6,7 @@ import (
 	"net"
 	"time"
 
-	"jarvis"
 	"jarvis/internal/device"
-	"jarvis/internal/replay"
-	"jarvis/internal/trace"
 	"jarvis/internal/wire"
 )
 
@@ -86,8 +83,9 @@ func (s *server) serveBinary(conn net.Conn, br *bufio.Reader) {
 
 // handleBatch serves one coalesced batch: admission control sees the whole
 // batch at once, the state lock is taken once, and responses are appended
-// into a single output buffer. Per-request telemetry, tracing, journaling,
-// and decision logging are identical to the JSON path.
+// into a single output buffer. Each request goes through the same dispatch
+// as a JSON request, so per-request telemetry, tracing, journaling, and
+// decision logging are identical across the codecs.
 func (s *server) handleBatch(reqs []wire.Request, out []byte) []byte {
 	depth := s.inflight.Add(int64(len(reqs)))
 	defer s.inflight.Add(-int64(len(reqs)))
@@ -104,28 +102,19 @@ func (s *server) handleBatch(reqs []wire.Request, out []byte) []byte {
 	// acquisition are served at the same instant, which is what makes
 	// consecutive recommend evaluations shareable.
 	minute := s.minuteOfDay(time.Now())
-	var rec jarvis.Decision
-	haveRec := false
+	var memo recMemo
 	for _, req := range reqs {
-		if c, ok := mBinRequests[req.Op]; ok {
-			c.Inc()
-		} else {
-			mRequestsUnknown.Inc()
-		}
-		sp := s.tracer.Start(binOpSpanName(req.Op))
-		if sp != nil {
-			sp.AnnotateInt("depth", depth)
-			sp.AnnotateInt("batch", int64(len(reqs)))
-		}
-		if req.Op == wire.OpEvent || req.Op == wire.OpCheckpoint {
-			// The environment (or the policy) is about to change; any
+		c := s.binaryCall(req)
+		sp := s.startOp(c.op, depth)
+		sp.AnnotateInt("batch", int64(len(reqs)))
+		if c.op == opEvent || c.op == opCheckpoint {
+			// The environment (or the policy) is about to change; the
 			// memoized recommendation is stale.
-			haveRec = false
+			memo.ok = false
 		}
-		out = s.binDispatchLocked(req, depth, minute, sp, &rec, &haveRec, out)
-		if sp != nil {
-			sp.End()
-		}
+		r := s.dispatch(c, depth, minute, sp, &memo)
+		out = s.appendWireResponse(out, &r)
+		sp.End()
 	}
 	s.mu.Unlock()
 	if !t0.IsZero() {
@@ -134,131 +123,49 @@ func (s *server) handleBatch(reqs []wire.Request, out []byte) []byte {
 	return out
 }
 
-// binDispatchLocked serves one binary request under the state lock,
-// appending the framed response to out. rec/haveRec memoize the batch's
-// recommend evaluation: consecutive recommends at the same state and
-// minute are deterministic, so the composition runs once and each request
-// still journals and logs its own served decision.
-func (s *server) binDispatchLocked(req wire.Request, depth int64, minute int,
-	sp *trace.Span, rec *jarvis.Decision, haveRec *bool, out []byte) []byte {
-	e := s.home.Env
-	resp := wire.Response{Minute: minute}
+// binaryCall decodes a binary request: the opcode is the op, and the
+// event's device and action already travel as IDs.
+func (s *server) binaryCall(req wire.Request) call {
+	c := call{op: op(req.Op), device: int(req.Device), action: device.ActionID(req.Action)}
+	if int(req.Op) >= len(ops) || c.op == opUnknown {
+		c.op, c.bad = opUnknown, "unknown op"
+	} else if c.op == opEvent && c.device >= s.home.Env.K() {
+		c.bad = "unknown device index"
+	}
+	return c
+}
 
-	switch req.Op {
-	case wire.OpState:
+// appendWireResponse shapes a dispatch result into a framed binary
+// response appended to out. States and actions are copied into reusable
+// scratch buffers, so it allocates nothing at steady state. Caller holds
+// s.mu.
+func (s *server) appendWireResponse(out []byte, r *result) []byte {
+	resp := wire.Response{Minute: r.minute}
+	switch {
+	case r.busy:
+		resp.Flags, resp.RetryAfterMs = wire.FlagBusy, retryAfterMs
+	case r.err == "":
 		resp.Flags = wire.FlagOK
-		resp.Violations = s.violations
+	}
+	if r.unsafe {
+		resp.Flags |= wire.FlagUnsafe
+	}
+	resp.Err = append(resp.Err, r.err...)
+	if r.show&showState != 0 {
 		resp.State = s.wireStateIDs()
-
-	case wire.OpEvent:
-		if s.following.Load() {
-			resp.Err = append(resp.Err, errFollowerReadOnly...)
-			break
-		}
-		*haveRec = false
-		di := int(req.Device)
-		if di < 0 || di >= e.K() {
-			resp.Err = append(resp.Err, "unknown device index"...)
-			break
-		}
-		unsafe, err := s.applyEvent(sp, depth, minute, di, device.ActionID(req.Action))
-		if err != nil {
-			resp.Err = append(resp.Err, err.Error()...)
-			break
-		}
-		resp.Flags = wire.FlagOK
-		if unsafe {
-			resp.Flags |= wire.FlagUnsafe
-		}
-		resp.Violations = s.violations
-		resp.State = s.wireStateIDs()
-
-	case wire.OpRecommend:
-		if s.shedRecommend(depth) {
-			s.shedRecommends++
-			mShedRecommends.Inc()
-			resp.Flags = wire.FlagBusy
-			resp.RetryAfterMs = 250
-			resp.Err = append(resp.Err, "overloaded: recommendation shed"...)
-			break
-		}
-		if s.following.Load() {
-			// Read-only replica serve: evaluate against the replica policy,
-			// but the decision stream (journal, log, counters) belongs to
-			// the primary, so nothing is memoized or recorded.
-			d, err := s.replicaRecommend(sp, minute)
-			if err != nil {
-				resp.Err = append(resp.Err, err.Error()...)
-				break
-			}
-			resp.Flags = wire.FlagOK
-			resp.Q = d.Value
-			resp.Degraded = s.sys.DegradedRecommendations()
-			resp.Action = s.wireActionIDs(d.Action)
-			break
-		}
-		// The memoized evaluation is reused only when nothing needs the
-		// full pipeline to run: a sampled request re-evaluates so its span
-		// tree covers the selection, and a decision-logging daemon
-		// re-evaluates so every served recommendation has its own audit
-		// record. The result is bit-identical either way.
-		if !*haveRec || sp != nil || s.decisions != nil {
-			d, err := s.recommendOne(sp, minute)
-			if err != nil {
-				*haveRec = false
-				resp.Err = append(resp.Err, err.Error()...)
-				break
-			}
-			*rec, *haveRec = d, true
-		} else {
-			// Reuse the batch's evaluation, but still journal this served
-			// recommendation like any other — replay regenerates one
-			// decision per journaled record.
-			s.recommendsServed++
-			s.journal(sp, replay.Record{K: replay.KindRecommend, N: s.recommendsServed, M: minute})
-			mWireSharedEvals.Inc()
-		}
-		resp.Flags = wire.FlagOK
-		resp.Q = rec.Value
+	}
+	if r.show&showViolations != 0 {
+		resp.Violations = s.h.Violations
+	}
+	if r.show&showAction != 0 {
+		resp.Q, resp.Action = r.d.Value, s.wireActionIDs(r.d.Action)
 		resp.Degraded = s.sys.DegradedRecommendations()
-		resp.Action = s.wireActionIDs(rec.Action)
-
-	case wire.OpViolations:
-		resp.Flags = wire.FlagOK
-		resp.Violations = s.violations
-
-	case wire.OpCheckpoint:
-		if s.following.Load() {
-			resp.Err = append(resp.Err, errFollowerReadOnly...)
-			break
-		}
-		if s.store == nil {
-			resp.Err = append(resp.Err, "daemon started without -checkpoint"...)
-			break
-		}
-		if err := s.saveCheckpointLocked(); err != nil {
-			resp.Err = append(resp.Err, err.Error()...)
-			break
-		}
-		resp.Flags = wire.FlagOK
-
-	case wire.OpLearnState:
-		fp, err := s.sys.QFingerprint()
-		if err != nil {
-			resp.Err = append(resp.Err, err.Error()...)
-			break
-		}
-		resp.Flags = wire.FlagOK | wire.FlagHasLearn
-		resp.Violations = s.violations
+	}
+	if r.show&showLearn != 0 {
+		resp.Flags |= wire.FlagHasLearn
 		resp.ReplaySize = s.sys.Agent().ReplayBuffer().Len()
-		resp.Events = s.eventsIngested
-		resp.OnlineSteps = s.onlineSteps
-		resp.LearnSteps = s.learnSteps
-		resp.Recommends = s.recommendsServed
-		resp.QSum = append(resp.QSum, fp...)
-
-	default:
-		resp.Err = append(resp.Err, "unknown op"...)
+		resp.Events, resp.OnlineSteps, resp.LearnSteps, resp.Recommends = s.h.Events, s.h.Steps, s.h.LearnSteps, s.h.Recs
+		resp.QSum = append(resp.QSum, r.qsum...)
 	}
 	return wire.AppendResponse(out, &resp)
 }
@@ -266,11 +173,11 @@ func (s *server) binDispatchLocked(req wire.Request, depth int64, minute int,
 // wireStateIDs copies the current state into the reusable binary scratch
 // buffer (guarded by mu).
 func (s *server) wireStateIDs() []uint8 {
-	if cap(s.wireState) < len(s.state) {
-		s.wireState = make([]uint8, len(s.state))
+	if cap(s.wireState) < len(s.h.State) {
+		s.wireState = make([]uint8, len(s.h.State))
 	}
-	s.wireState = s.wireState[:len(s.state)]
-	for i, st := range s.state {
+	s.wireState = s.wireState[:len(s.h.State)]
+	for i, st := range s.h.State {
 		s.wireState[i] = uint8(st)
 	}
 	return s.wireState

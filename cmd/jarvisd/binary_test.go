@@ -90,7 +90,7 @@ func TestBinaryProtocol(t *testing.T) {
 		t.Fatalf("learnstate: %+v, %v", resp, err)
 	}
 	srv.mu.Lock()
-	events := srv.eventsIngested
+	events := srv.h.Events
 	srv.mu.Unlock()
 	if len(resp.QSum) == 0 || resp.Events != events {
 		t.Fatalf("learnstate fingerprint: %+v (events %d)", resp, events)
@@ -158,6 +158,17 @@ func TestBinaryJSONParity(t *testing.T) {
 			t.Fatalf("state[%d]: binary %q, JSON %q", i, name, js.State[i])
 		}
 	}
+
+	// promote is served from the same op table by both codecs: a primary
+	// refuses it identically over each.
+	jp := roundTrip(t, enc, dec, request{Op: "promote"})
+	bp, err := bin.Do(wire.Request{Op: wire.OpPromote})
+	if err != nil {
+		t.Fatalf("binary promote: %v", err)
+	}
+	if jp.OK || bp.OK() || jp.Error == "" || string(bp.Err) != jp.Error {
+		t.Fatalf("promote on a primary: json %+v, binary %+v", jp, bp)
+	}
 }
 
 // TestBinaryBatchCoalescing writes a burst of framed requests in one shot,
@@ -183,7 +194,7 @@ func TestBinaryBatchCoalescing(t *testing.T) {
 
 	const burst = 16
 	srv.mu.Lock()
-	recBefore := srv.recommendsServed
+	recBefore := srv.h.Recs
 	srv.mu.Unlock()
 	var buf []byte
 	for i := 0; i < burst; i++ {
@@ -220,7 +231,7 @@ func TestBinaryBatchCoalescing(t *testing.T) {
 		}
 	}
 	srv.mu.Lock()
-	served := srv.recommendsServed - recBefore
+	served := srv.h.Recs - recBefore
 	srv.mu.Unlock()
 	if served != burst {
 		t.Fatalf("journaled %d served recommendations, want %d", served, burst)
@@ -276,5 +287,35 @@ func TestJSONAfterBinarySupported(t *testing.T) {
 	if mWireBinary.Value() == 0 || mWireJSON.Value() == 0 {
 		t.Errorf("wire counters: binary=%d json=%d, want both nonzero",
 			mWireBinary.Value(), mWireJSON.Value())
+	}
+}
+
+// TestBinaryBatchAllocationFree pins the serving hot path through the one
+// dispatch both codecs share: with the compiled table serving and no WAL,
+// a steady-state binary batch of sixteen recommends, and a
+// state+recommend+violations batch, allocate nothing.
+func TestBinaryBatchAllocationFree(t *testing.T) {
+	srv, err := newServer(serverConfig{Seed: 1, LearningDays: 2, Episodes: 2})
+	if err != nil {
+		t.Fatalf("newServer: %v", err)
+	}
+	defer srv.Close()
+	if c := srv.sys.CompiledPolicy(); c == nil || c.Disabled() {
+		t.Fatal("compiled policy not serving")
+	}
+	recs := make([]wire.Request, 16)
+	for i := range recs {
+		recs[i] = wire.Request{Op: wire.OpRecommend}
+	}
+	mix := []wire.Request{{Op: wire.OpState}, {Op: wire.OpRecommend}, {Op: wire.OpViolations}}
+	out := make([]byte, 0, 4<<10)
+	for name, batch := range map[string][]wire.Request{"16 recommends": recs, "state+recommend+violations": mix} {
+		out = srv.handleBatch(batch, out[:0]) // size the response scratch buffers
+		allocs := testing.AllocsPerRun(100, func() {
+			out = srv.handleBatch(batch, out[:0])
+		})
+		if allocs != 0 {
+			t.Errorf("%s batch allocates %.1f objects per call, want 0", name, allocs)
+		}
 	}
 }

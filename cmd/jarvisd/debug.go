@@ -104,12 +104,24 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	s.writeJSON(w, r, http.StatusOK, telemetry.Default.Snapshot())
+}
+
+// writeJSON answers with v as indented JSON under status code. A failed
+// write means the client went away; it is logged, never fatal.
+func (s *server) writeJSON(w http.ResponseWriter, r *http.Request, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(telemetry.Default.Snapshot()); err != nil {
-		s.cfg.Logf("jarvisd: metrics encode: %v", err)
+	if err := enc.Encode(v); err != nil {
+		s.cfg.Logf("jarvisd: %s encode: %v", r.URL.Path, err)
 	}
+}
+
+// writeError answers with {"error": msg} under status code.
+func (s *server) writeError(w http.ResponseWriter, r *http.Request, code int, msg string) {
+	s.writeJSON(w, r, code, map[string]string{"error": msg})
 }
 
 // wantsPrometheus decides the /metrics representation: explicit ?format=
@@ -240,12 +252,9 @@ type healthStatus struct {
 // this is an audit probe, not a serving-path endpoint — so the journal and
 // the log are frozen and consistent while they are compared.
 func (s *server) handleReplay(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
 	if s.cfg.WALDir == "" || s.cfg.DecisionLogPath == "" {
-		w.WriteHeader(http.StatusNotFound)
-		json.NewEncoder(w).Encode(map[string]string{
-			"error": "replay verification needs the daemon started with both -wal and -log-decisions",
-		})
+		s.writeError(w, r, http.StatusNotFound,
+			"replay verification needs the daemon started with both -wal and -log-decisions")
 		return
 	}
 	s.mu.Lock()
@@ -254,8 +263,7 @@ func (s *server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	// daemon has produced (the WAL is already durable per its sync policy).
 	if s.decisions != nil {
 		if err := s.decisions.Sync(); err != nil {
-			w.WriteHeader(http.StatusInternalServerError)
-			json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+			s.writeError(w, r, http.StatusInternalServerError, err.Error())
 			return
 		}
 	}
@@ -269,18 +277,14 @@ func (s *server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		DecisionLog: s.cfg.DecisionLogPath,
 	})
 	if err != nil {
-		w.WriteHeader(http.StatusInternalServerError)
-		json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+		s.writeError(w, r, http.StatusInternalServerError, err.Error())
 		return
 	}
+	code := http.StatusOK
 	if !rep.Match {
-		w.WriteHeader(http.StatusConflict)
+		code = http.StatusConflict
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		s.cfg.Logf("jarvisd: replay report encode: %v", err)
-	}
+	s.writeJSON(w, r, code, rep)
 }
 
 // handleHealthz reports daemon health: 200 while every recommendation so
@@ -292,14 +296,14 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	h := healthStatus{
 		Status:                  "ok",
 		DegradedRecommendations: s.sys.DegradedRecommendations(),
-		Violations:              s.violations,
+		Violations:              s.h.Violations,
 		RestoredFromCheckpoint:  s.restored,
 		QueueDepth:              s.inflight.Load(),
 		ShedEvents:              s.shedEvents,
 		ShedRecommends:          s.shedRecommends,
-		Events:                  s.eventsIngested,
-		OnlineSteps:             s.onlineSteps,
-		LearnSteps:              s.learnSteps,
+		Events:                  s.h.Events,
+		OnlineSteps:             s.h.Steps,
+		LearnSteps:              s.h.LearnSteps,
 	}
 	if s.watchdog != nil {
 		h.Watchdog = s.watchdog.Stats()
@@ -356,9 +360,5 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		h.Status = "degraded"
 		code = http.StatusServiceUnavailable
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(h); err != nil {
-		s.cfg.Logf("jarvisd: healthz encode: %v", err)
-	}
+	s.writeJSON(w, r, code, h)
 }

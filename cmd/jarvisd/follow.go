@@ -12,13 +12,13 @@ package main
 //
 // Follower side: the daemon builds its deterministic base exactly like a
 // primary (train or restore), then converges onto the primary's state by
-// adopting shipped snapshots through replay.Assets.RestoreSnapshot and
-// applying shipped records through the same skip-stale logic boot replay
-// uses. Every applied record is re-journaled to the follower's own WAL and
-// re-audited against its own P_safe, so the follower's durability
-// artifacts are always a self-consistent prefix of the primary's history —
-// a promoted follower is indistinguishable from a primary that crashed and
-// recovered at the same position.
+// seeding its replay.Home from shipped snapshots and applying shipped
+// records through Home.Apply, the call boot recovery makes. Every applied
+// record is re-journaled to the follower's own WAL and re-audited against
+// its own P_safe, so the follower's durability artifacts are always a
+// self-consistent prefix of the primary's history — a promoted follower is
+// indistinguishable from a primary that crashed and recovered at the same
+// position.
 
 import (
 	"bufio"
@@ -28,12 +28,9 @@ import (
 	"net"
 	"time"
 
-	"jarvis"
-	"jarvis/internal/env"
 	"jarvis/internal/replay"
 	"jarvis/internal/replica"
 	"jarvis/internal/telemetry"
-	"jarvis/internal/trace"
 )
 
 const (
@@ -44,12 +41,14 @@ const (
 )
 
 var (
-	mReplicaReads   = telemetry.Default.Counter("jarvisd.replica.reads")
-	mReplAppliedEvt = telemetry.Default.Counter("jarvisd.replica.applied.events")
-	mReplAppliedTxn = telemetry.Default.Counter("jarvisd.replica.applied.txns")
-	mReplAppliedRec = telemetry.Default.Counter("jarvisd.replica.applied.recs")
-	mReplAdopted    = telemetry.Default.Counter("jarvisd.replica.adopted.snapshots")
-	mPromotions     = telemetry.Default.Counter("jarvisd.promotions")
+	mReplicaReads = telemetry.Default.Counter("jarvisd.replica.reads")
+	mReplApplied  = map[string]*telemetry.Counter{
+		replay.KindEvent:      telemetry.Default.Counter("jarvisd.replica.applied.events"),
+		replay.KindTransition: telemetry.Default.Counter("jarvisd.replica.applied.txns"),
+		replay.KindRecommend:  telemetry.Default.Counter("jarvisd.replica.applied.recs"),
+	}
+	mReplAdopted = telemetry.Default.Counter("jarvisd.replica.adopted.snapshots")
+	mPromotions  = telemetry.Default.Counter("jarvisd.promotions")
 )
 
 // role reports the daemon's replication role.
@@ -93,7 +92,7 @@ func (s *server) serveReplication(conn net.Conn, br *bufio.Reader) {
 func (s *server) replicationSnapshot() (uint64, []byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ck, err := s.snapshotLocked()
+	ck, err := s.h.Snapshot()
 	if err != nil {
 		return 0, nil, err
 	}
@@ -109,7 +108,7 @@ func (s *server) replicationSnapshot() (uint64, []byte, error) {
 func (s *server) replicaCounters() replica.Counters {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return replica.Counters{Events: s.eventsIngested, Steps: s.onlineSteps, Recs: s.recommendsServed}
+	return replica.Counters{Events: s.h.Events, Steps: s.h.Steps, Recs: s.h.Recs}
 }
 
 // --- follower side ----------------------------------------------------
@@ -144,29 +143,22 @@ func (s *server) followLoop() {
 			Timeout:    timeout,
 			Have:       s.replicaCounters,
 			OnSnapshot: s.adoptSnapshot,
-			OnRecord:   s.applyShippedRecord,
+			OnRecord:   func(b []byte) error { return s.applyRecord(b, true) },
 			Logf:       s.cfg.Logf,
 		})
 		s.mu.Lock()
 		s.replica = f
 		s.mu.Unlock()
-		err := f.Run(s.followStop)
-		switch {
-		case err == nil:
-			// followStop closed: an operator promote or a shutdown. The
-			// follower drained its buffered tail before returning, so
-			// promotion seals everything the primary handed over.
-			if s.promoteRequested.Load() {
-				s.promote("operator request")
-			}
+		// A nil error means followStop closed after the follower drained its
+		// buffered tail: the select below sees it at once, and promotion
+		// seals everything the primary handed over.
+		switch err := f.Run(s.followStop); {
+		case errors.Is(err, replica.ErrStalled) && auto:
+			s.promote(fmt.Sprintf("primary silent past %v", timeout))
 			return
 		case errors.Is(err, replica.ErrStalled):
-			if auto {
-				s.promote(fmt.Sprintf("primary silent past %v", timeout))
-				return
-			}
 			s.cfg.Logf("jarvisd: primary silent past %v; automatic promotion disabled, still following", timeout)
-		default:
+		case err != nil:
 			s.cfg.Logf("jarvisd: replication apply failed (%v); resyncing from a fresh snapshot", err)
 		}
 		select {
@@ -180,12 +172,12 @@ func (s *server) followLoop() {
 	}
 }
 
-// adoptSnapshot applies a shipped checkpoint wholesale: the same
-// RestoreSnapshot path boot restore uses, followed by a checkpoint of the
-// follower's own store and a reset of its own WAL. That last step is the
-// barrier alignment: after an adopt, the follower's durability artifacts
-// describe exactly the adopted state, so its own crash recovery — and any
-// later promotion — replays only records applied after this point.
+// adoptSnapshot applies a shipped checkpoint wholesale through Home.Seed,
+// the call boot restore makes, followed by a checkpoint of the follower's
+// own store and a reset of its own WAL. That last step is the barrier
+// alignment: after an adopt, the follower's durability artifacts describe
+// exactly the adopted state, so its own crash recovery — and any later
+// promotion — replays only records applied after this point.
 func (s *server) adoptSnapshot(gen uint64, data []byte) error {
 	var ck replay.Snapshot
 	if err := json.Unmarshal(data, &ck); err != nil {
@@ -193,167 +185,21 @@ func (s *server) adoptSnapshot(gen uint64, data []byte) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := ck.Validate(replayConfig(s.cfg), s.home.Env.K()); err != nil {
-		return fmt.Errorf("snapshot gen %d: %w", gen, err)
-	}
-	if err := s.assets.RestoreSnapshot(&ck, s.cfg.Logf); err != nil {
+	if err := s.h.Seed(&ck); err != nil {
 		return fmt.Errorf("adopt snapshot gen %d: %w", gen, err)
-	}
-	s.violations = ck.Violations
-	s.eventsIngested = ck.Events
-	s.onlineSteps = ck.OnlineSteps
-	s.learnSteps = ck.LearnSteps
-	s.recommendsServed = ck.Recommends
-	if len(ck.State) == s.home.Env.K() {
-		s.state = ck.State
 	}
 	mReplAdopted.Inc()
 	// Persist the adopted state as the follower's own generation. A
 	// follower without a store still resets its journal — the shipped
 	// records that follow are relative to this snapshot.
-	switch {
-	case s.store != nil:
-		if err := s.saveCheckpointLocked(); err != nil {
-			s.cfg.Logf("jarvisd: checkpoint after snapshot adopt failed: %v", err)
-		}
-	case s.wal != nil:
-		if err := s.wal.Reset(); err != nil {
-			s.cfg.Logf("jarvisd: wal reset after snapshot adopt failed: %v", err)
-		} else {
-			s.walSpans = nil
-		}
+	if s.store == nil {
+		s.resetWAL("snapshot adopt")
+	} else if err := s.saveCheckpointLocked(); err != nil {
+		s.cfg.Logf("jarvisd: checkpoint after snapshot adopt failed: %v", err)
 	}
 	s.cfg.Logf("jarvisd: adopted primary snapshot gen %d (events=%d steps=%d recs=%d)",
 		gen, ck.Events, ck.OnlineSteps, ck.Recommends)
 	return nil
-}
-
-// applyShippedRecord applies one verbatim WAL record from the primary:
-// re-journal it to the follower's own log, then run it through the same
-// skip-stale apply logic boot replay uses — with the live path's decision
-// logging, so a promoted follower's decision log verifies against its WAL
-// exactly like a primary's does.
-func (s *server) applyShippedRecord(b []byte) error {
-	rec, err := replay.DecodeRecord(b)
-	if err != nil {
-		// Framing CRC passed on the primary and in transit: this is a
-		// foreign or future-format record. Skip it, like boot replay.
-		s.cfg.Logf("jarvisd: replication: skipping undecodable record: %v", err)
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := s.home.Env
-	switch rec.K {
-	case replay.KindEvent:
-		if rec.N <= s.eventsIngested {
-			return nil // covered by the adopted snapshot
-		}
-		if rec.D < 0 || rec.D >= e.K() {
-			s.cfg.Logf("jarvisd: replication: evt #%d has bad device %d", rec.N, rec.D)
-			return nil
-		}
-		a := env.NoOp(e.K())
-		a[rec.D] = rec.A
-		next, err := e.Transition(s.state, a)
-		if err != nil {
-			s.cfg.Logf("jarvisd: replication: evt #%d does not apply: %v", rec.N, err)
-			return nil
-		}
-		// Re-derive the safety verdict against the replica's own P_safe,
-		// exactly like boot replay: the table is deterministic, so the
-		// follower's violation count stays honest.
-		unsafe := !s.sys.SafeTable().SafeTransition(e.StateKey(s.state), e.StateKey(next), a)
-		if unsafe {
-			s.violations++
-			mEventsUnsafe.Inc()
-			s.mUnsafeByDevice[rec.D].Inc()
-		}
-		s.state = next
-		s.eventsIngested++
-		s.journal(nil, rec)
-		mReplAppliedEvt.Inc()
-		if s.decisions != nil {
-			verdict := "safe"
-			if unsafe {
-				verdict = "unsafe"
-			}
-			s.logDecision(nil, decisionRecord{
-				Kind: "event", Minute: rec.M,
-				State:   stateNames(e, s.state),
-				Action:  e.FormatAction(a),
-				Verdict: verdict,
-			})
-		}
-
-	case replay.KindTransition:
-		if rec.N <= s.onlineSteps {
-			return nil
-		}
-		if len(rec.S) != e.K() || rec.D < 0 || rec.D >= e.K() {
-			s.cfg.Logf("jarvisd: replication: txn #%d malformed", rec.N)
-			return nil
-		}
-		a := env.NoOp(e.K())
-		a[rec.D] = rec.A
-		s.journal(nil, rec)
-		s.ingestTransition(nil, rec.S, a, rec.M)
-		mReplAppliedTxn.Inc()
-
-	case replay.KindRecommend:
-		if rec.N <= s.recommendsServed {
-			return nil
-		}
-		s.recommendsServed++
-		s.journal(nil, rec)
-		mReplAppliedRec.Inc()
-		if s.decisions != nil {
-			// Re-execute the policy at this point in the stream — the same
-			// regeneration the offline replay engine performs — so the
-			// follower's decision log carries its own recommendation audit
-			// trail, bit-compatible with a verify replay.
-			d, err := s.sys.RecommendDecision(s.state, rec.M)
-			if err != nil {
-				s.cfg.Logf("jarvisd: replication: rec #%d re-execution failed: %v", rec.N, err)
-				return nil
-			}
-			verdict := "safe"
-			if d.Degraded {
-				verdict = "degraded"
-			}
-			if next, terr := e.Transition(s.state, d.Action); terr == nil {
-				if !s.sys.SafeTable().SafeTransition(e.StateKey(s.state), e.StateKey(next), d.Action) {
-					verdict = "unsafe"
-				}
-			}
-			s.logDecision(nil, decisionRecord{
-				Kind: "recommend", Minute: rec.M,
-				State:    stateNames(e, s.state),
-				Action:   e.FormatAction(d.Action),
-				Q:        d.Value,
-				Degraded: d.Degraded,
-				Verdict:  verdict,
-			})
-		}
-
-	default:
-		s.cfg.Logf("jarvisd: replication: unknown record kind %q", rec.K)
-	}
-	return nil
-}
-
-// replicaRecommend serves a read-only recommendation from the replica
-// policy while following: same evaluation as recommendOne, but nothing is
-// journaled, logged, or counted as served — the decision stream belongs to
-// the primary. Caller holds s.mu.
-func (s *server) replicaRecommend(sp *trace.Span, minute int) (jarvis.Decision, error) {
-	d, err := s.sys.RecommendDecisionTraced(sp, s.state, minute)
-	if err != nil {
-		return jarvis.Decision{}, err
-	}
-	s.replicaReads++
-	mReplicaReads.Inc()
-	return d, nil
 }
 
 // requestPromote arms an operator-requested promotion. It only signals —
@@ -379,7 +225,7 @@ func (s *server) promote(reason string) {
 	s.replica = nil
 	s.following.Store(false)
 	s.promotedAt.Store(time.Now().UnixNano())
-	events, steps, recs := s.eventsIngested, s.onlineSteps, s.recommendsServed
+	events, steps, recs := s.h.Events, s.h.Steps, s.h.Recs
 	if s.store != nil {
 		if err := s.saveCheckpointLocked(); err != nil {
 			s.cfg.Logf("jarvisd: promotion checkpoint failed: %v", err)
@@ -401,7 +247,7 @@ func (s *server) replicationLag() float64 {
 	}
 	s.mu.Lock()
 	f := s.replica
-	have := replica.Counters{Events: s.eventsIngested, Steps: s.onlineSteps, Recs: s.recommendsServed}
+	have := replica.Counters{Events: s.h.Events, Steps: s.h.Steps, Recs: s.h.Recs}
 	s.mu.Unlock()
 	if f == nil {
 		return 0

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"net/http"
 	"runtime"
 	"sync"
@@ -42,19 +41,12 @@ func registerBuildMetrics() {
 	buildMetricsOnce.Do(func() {
 		telemetry.Default.SetInfo("jarvisd.build.info", map[string]string{
 			"goversion": runtime.Version(),
-			"version":   buildVersion(),
+			"version":   version.String(),
 		})
 		telemetry.Default.GaugeFunc("jarvisd.uptime.seconds", func() float64 {
 			return time.Since(processStart).Seconds()
 		})
 	})
-}
-
-// buildVersion derives a git-describe-style version from the embedded
-// build info: the module version when released, else the VCS revision
-// with a -dirty suffix, else "devel".
-func buildVersion() string {
-	return version.String()
 }
 
 // defaultObjectives is the daemon's built-in SLO set: the serve-path
@@ -214,7 +206,7 @@ func (s *server) onAlertFiring(a health.Alert) {
 // the learn step that just ran — but the replay itself runs on its own
 // goroutine so the lock is released before any expensive work starts.
 func (s *server) maybeShadowEval() {
-	if s.shadow == nil || s.learnSteps%s.cfg.ShadowEvery != 0 {
+	if s.shadow == nil || s.h.LearnSteps%s.cfg.ShadowEvery != 0 {
 		return
 	}
 	if !s.shadow.TryBegin() {
@@ -247,10 +239,8 @@ type alertsDocument struct {
 // firing alerts, recent transitions, the latest shadow report, and (with
 // ?rules=1) the active rule set.
 func (s *server) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
 	if s.health == nil {
-		w.WriteHeader(http.StatusNotFound)
-		json.NewEncoder(w).Encode(map[string]string{"error": "alerting disabled"})
+		s.writeError(w, r, http.StatusNotFound, "alerting disabled")
 		return
 	}
 	doc := alertsDocument{
@@ -264,24 +254,14 @@ func (s *server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("rules") != "" {
 		doc.Rules = s.health.Rules()
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		s.cfg.Logf("jarvisd: alerts encode: %v", err)
-	}
+	s.writeJSON(w, r, http.StatusOK, doc)
 }
 
 // handleSLO serves the SLO tracker's windowed report.
 func (s *server) handleSLO(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
 	if s.slo == nil {
-		w.WriteHeader(http.StatusNotFound)
-		json.NewEncoder(w).Encode(map[string]string{"error": "alerting disabled"})
+		s.writeError(w, r, http.StatusNotFound, "alerting disabled")
 		return
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(s.slo.Report()); err != nil {
-		s.cfg.Logf("jarvisd: slo encode: %v", err)
-	}
+	s.writeJSON(w, r, http.StatusOK, s.slo.Report())
 }

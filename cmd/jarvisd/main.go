@@ -171,7 +171,7 @@ func run(args []string) error {
 	if err := srv.listen(*addr); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "jarvisd: listening on %s (P_safe: %d transitions)\n", srv.Addr(), srv.tableSize())
+	fmt.Fprintf(os.Stderr, "jarvisd: listening on %s (P_safe: %d transitions)\n", srv.Addr(), srv.sys.SafeTable().Len())
 	if da := srv.DebugAddr(); da != "" {
 		fmt.Fprintf(os.Stderr, "jarvisd: debug endpoints on http://%s (/metrics /healthz /debug/vars /debug/pprof)\n", da)
 	}

@@ -16,8 +16,6 @@ import (
 	"jarvis/internal/anomaly"
 	"jarvis/internal/checkpoint"
 	"jarvis/internal/compiled"
-	"jarvis/internal/device"
-	"jarvis/internal/env"
 	"jarvis/internal/health"
 	"jarvis/internal/replay"
 	"jarvis/internal/replica"
@@ -176,13 +174,10 @@ type serverConfig struct {
 	Logf func(format string, args ...any)
 }
 
+// withDefaults fills the daemon's own knobs. The learning configuration
+// (LearningDays, Episodes, OnlineTrainEvery) is defaulted where it is
+// used, by replay.Config, so a daemon and a replay cannot disagree on it.
 func (c serverConfig) withDefaults() serverConfig {
-	if c.LearningDays <= 0 {
-		c.LearningDays = 7
-	}
-	if c.Episodes <= 0 {
-		c.Episodes = 60
-	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 5 * time.Minute
 	}
@@ -194,9 +189,6 @@ func (c serverConfig) withDefaults() serverConfig {
 	}
 	if c.MaxQueue == 0 {
 		c.MaxQueue = 64
-	}
-	if c.OnlineTrainEvery == 0 {
-		c.OnlineTrainEvery = 4
 	}
 	if c.SLOWindow <= 0 {
 		c.SLOWindow = 10 * time.Minute
@@ -257,32 +249,22 @@ type response struct {
 	Role string `json:"role,omitempty"`
 }
 
-// server owns the environment state and the trained Jarvis system. All
-// state mutations are serialized by mu; connections are handled
+// server is the daemon around one Home (replay.Home), the state machine
+// that owns the environment state and the sequence and violation counters.
+// All state mutations are serialized by mu; connections are handled
 // concurrently and tracked so Close can terminate idle clients.
 type server struct {
 	cfg  serverConfig
 	home *smarthome.FullHome
 	sys  *jarvis.System
-	// assets is the replay.Build product the server was assembled from,
-	// retained so a following standby can adopt shipped snapshots through
-	// the same RestoreSnapshot path boot restore uses.
-	assets *replay.Assets
 
 	mu         sync.Mutex
-	state      env.State
+	h          *replay.Home
 	startOfDay time.Time
-	violations int
 
-	// Online-learning progression, all guarded by mu: events applied,
-	// transitions accepted into the learner, learn steps actually run,
-	// recommendations served, and requests shed by admission control.
-	eventsIngested   int
-	onlineSteps      int
-	learnSteps       int
-	recommendsServed int
-	shedEvents       int
-	shedRecommends   int
+	// Requests shed by admission control (guarded by mu).
+	shedEvents     int
+	shedRecommends int
 
 	// walSpans tracks the first/last kind-local sequence number currently
 	// in the journal (guarded by mu; nil when empty or WAL disabled) —
@@ -316,8 +298,8 @@ type server struct {
 	debug   *http.Server
 	debugLn net.Listener
 
-	// decisions is the structured decision log (replay.DecisionLog, opened
-	// via decision.go); nil when cfg.DecisionLogPath is empty.
+	// decisions is the structured decision log (replay.DecisionLog); nil
+	// when cfg.DecisionLogPath is empty.
 	decisions *replay.DecisionLog
 
 	// health/slo/shadow are the policy-health subsystem (health.go): the
@@ -374,11 +356,6 @@ type server struct {
 	// training.
 	restored bool
 
-	// nextScratch is the recommend cross-check's transition destination
-	// buffer (guarded by mu) — keeps the steady-state recommend path free
-	// of per-request state allocations.
-	nextScratch env.State
-
 	// wireState/wireAction are the binary codec's response scratch buffers
 	// (guarded by mu): state IDs and per-device action IDs are copied here
 	// so binary responses never allocate at steady state.
@@ -415,8 +392,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		cfg:        cfg,
 		home:       assets.Home,
 		sys:        assets.Sys,
-		assets:     assets,
-		state:      assets.Home.InitialState(),
+		h:          replay.NewHome(assets, replayConfig(cfg)),
 		startOfDay: time.Now().Truncate(24 * time.Hour),
 		stop:       make(chan struct{}),
 		conns:      make(map[net.Conn]struct{}),
@@ -424,6 +400,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		filter:     assets.Sys.Filter(),
 		followStop: make(chan struct{}),
 	}
+	s.h.Journal = s.journal
 	s.tracer.SetSeed(uint64(cfg.Seed))
 	s.tracer.SetSampleEvery(cfg.TraceSample)
 
@@ -437,7 +414,8 @@ func newServer(cfg serverConfig) (*server, error) {
 	}
 
 	if cfg.DecisionLogPath != "" {
-		dl, err := openDecisionLog(cfg.DecisionLogPath, cfg.DecisionLogMaxBytes, cfg.DecisionLogKeep)
+		dl, err := replay.OpenDecisionLog(cfg.DecisionLogPath,
+			replay.LogOptions{MaxBytes: cfg.DecisionLogMaxBytes, Keep: cfg.DecisionLogKeep})
 		if err != nil {
 			return nil, fmt.Errorf("decision log: %w", err)
 		}
@@ -453,29 +431,25 @@ func newServer(cfg serverConfig) (*server, error) {
 		}
 		s.store = st
 	}
-	if s.store != nil {
-		switch err := s.restoreCheckpoint(assets); {
-		case err == nil:
-			s.restored = true
-			mCkptRestores.Inc()
-			s.lastCkpt.Store(time.Now().UnixNano())
-			cfg.Logf("jarvisd: restored trained state from %s (%d generations on disk)",
-				cfg.CheckpointPath, len(s.store.Generations()))
-		default:
-			// Corrupt, missing, or mismatched checkpoint: fall back to
-			// fresh training rather than crashing.
-			mCkptRestoreFailures.Inc()
-			cfg.Logf("jarvisd: checkpoint unavailable (%v); training fresh", err)
-		}
+	// The same restore-or-train decision an offline replay makes.
+	gen, unusable, err := s.h.RestoreOrTrain(s.store)
+	if err != nil {
+		return nil, err
 	}
-	if !s.restored {
-		if err := assets.Train(); err != nil {
-			return nil, err
-		}
-		if s.store != nil {
-			if err := s.saveCheckpoint(); err != nil {
-				cfg.Logf("jarvisd: checkpoint save failed: %v", err)
-			}
+	switch {
+	case gen > 0:
+		s.restored = true
+		mCkptRestores.Inc()
+		s.lastCkpt.Store(time.Now().UnixNano())
+		cfg.Logf("jarvisd: restored trained state from %s (%d generations on disk)",
+			cfg.CheckpointPath, len(s.store.Generations()))
+	case s.store != nil:
+		// Corrupt, missing, or mismatched checkpoint: the Home trained
+		// fresh rather than the daemon crashing. Persist the new base.
+		mCkptRestoreFailures.Inc()
+		cfg.Logf("jarvisd: checkpoint unavailable (%v); training fresh", unusable)
+		if err := s.saveCheckpoint(); err != nil {
+			cfg.Logf("jarvisd: checkpoint save failed: %v", err)
 		}
 	}
 
@@ -526,8 +500,6 @@ func newServer(cfg serverConfig) (*server, error) {
 	}
 	return s, nil
 }
-
-func (s *server) tableSize() int { return s.sys.SafeTable().Len() }
 
 // listen starts accepting connections, plus the debug listener when
 // configured.
@@ -582,51 +554,36 @@ func (s *server) Close() error {
 	}
 	s.connMu.Unlock()
 	s.wg.Wait()
-	if s.health != nil {
-		// The health ticker and any in-flight shadow run are drained by
-		// wg.Wait above, so closing the alert log here races nothing.
-		if herr := s.health.Close(); herr != nil {
-			s.cfg.Logf("jarvisd: alert log close failed: %v", herr)
+	// Each artifact below is flushed even if an earlier one failed; the
+	// first failure is the one returned.
+	flush := func(what string, ferr error) {
+		if ferr != nil {
+			s.cfg.Logf("jarvisd: %s failed: %v", what, ferr)
 			if err == nil {
-				err = herr
+				err = ferr
 			}
 		}
 	}
+	if s.health != nil {
+		// The health ticker and any in-flight shadow run are drained by
+		// wg.Wait above, so closing the alert log here races nothing.
+		flush("alert log close", s.health.Close())
+	}
 	if s.store != nil {
-		if cerr := s.saveCheckpoint(); cerr != nil {
-			s.cfg.Logf("jarvisd: final checkpoint failed: %v", cerr)
-			if err == nil {
-				err = cerr
-			}
-		}
+		flush("final checkpoint", s.saveCheckpoint())
 	}
 	if s.wal != nil {
 		// After the final checkpoint the journal is already reset; closing
 		// just syncs the empty active segment.
-		if werr := s.wal.Close(); werr != nil {
-			s.cfg.Logf("jarvisd: wal close failed: %v", werr)
-			if err == nil {
-				err = werr
-			}
-		}
+		flush("wal close", s.wal.Close())
 	}
 	if s.decisions != nil {
-		if derr := s.decisions.Close(); derr != nil {
-			s.cfg.Logf("jarvisd: decision log close failed: %v", derr)
-			if err == nil {
-				err = derr
-			}
-		}
+		flush("decision log close", s.decisions.Close())
 	}
 	if s.ts != nil {
 		// The append ticker is drained by wg.Wait above; Close syncs the
 		// active segment so the final interval survives a restart.
-		if terr := s.ts.Close(); terr != nil {
-			s.cfg.Logf("jarvisd: tsdb close failed: %v", terr)
-			if err == nil {
-				err = terr
-			}
-		}
+		flush("tsdb close", s.ts.Close())
 	}
 	return err
 }
@@ -789,279 +746,89 @@ func (s *server) minuteOfDay(now time.Time) int {
 	return m
 }
 
-// handle counts and times one request, then dispatches it. The inflight
-// gauge — requests admitted but not yet answered — is the queue depth
-// admission control sheds against. Sampled requests get a root span named
-// after the op (opSpanNames, telemetry.go) that the whole pipeline threads
-// through; unsampled requests carry a nil span at zero cost.
+// handle serves one JSON request: decode, count, dispatch under the state
+// lock, and shape the result into a response. The inflight gauge is the
+// queue depth admission control sheds against; under pressure the wait for
+// the state lock IS the queue, so a sampled trace shows it as its own
+// span. Unsampled requests carry a nil span at zero cost.
 func (s *server) handle(req request) response {
 	depth := s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 	mQueueDepth.SetInt(depth)
-	if c, ok := mRequests[req.Op]; ok {
-		c.Inc()
-	} else {
-		mRequestsUnknown.Inc()
+	c := s.jsonCall(req)
+	sp := s.startOp(c.op, depth)
+	defer sp.End()
+	var t0 time.Time
+	if mRequestLatency.Enabled() {
+		t0 = time.Now()
 	}
-	sp := s.tracer.Start(opSpanName(req.Op))
-	if sp != nil {
-		sp.AnnotateInt("depth", depth)
-		defer sp.End()
-	}
-	if !mRequestLatency.Enabled() {
-		return s.dispatch(req, depth, sp)
-	}
-	t0 := time.Now()
-	resp := s.dispatch(req, depth, sp)
-	mRequestLatency.Observe(time.Since(t0))
-	return resp
-}
-
-// shedLearning reports whether the learning half of an event should be
-// shed at this queue depth; shedRecommend likewise for recommendations.
-// Learning sheds first (at half the threshold): the audit check and the
-// state transition are the safety surface and always run, while the
-// learner can catch up from later traffic. Recommendations shed last —
-// they are the product — and reject loudly with a retry hint.
-func (s *server) shedLearning(depth int64) bool {
-	return s.cfg.MaxQueue > 0 && depth > int64(s.cfg.MaxQueue)/2
-}
-
-func (s *server) shedRecommend(depth int64) bool {
-	return s.cfg.MaxQueue > 0 && depth > int64(s.cfg.MaxQueue)
-}
-
-func (s *server) dispatch(req request, depth int64, sp *trace.Span) response {
-	// Under admission-control pressure the wait for the state lock IS the
-	// queue; a sampled trace shows it as its own span.
 	qw := sp.Child("queue.wait")
 	s.mu.Lock()
 	qw.End()
-	defer s.mu.Unlock()
-	return s.dispatchLocked(req, depth, sp)
+	r := s.dispatch(c, depth, s.minuteOfDay(time.Now()), sp, nil)
+	resp := s.jsonResponse(&r)
+	s.mu.Unlock()
+	if !t0.IsZero() {
+		mRequestLatency.Observe(time.Since(t0))
+	}
+	return resp
 }
 
-func (s *server) dispatchLocked(req request, depth int64, sp *trace.Span) response {
+// jsonCall decodes a JSON request, looking its op name up in the op table
+// and resolving the event's device and action names.
+func (s *server) jsonCall(req request) call {
+	var c call
+	for o := range ops {
+		if o != int(opUnknown) && ops[o].name == req.Op {
+			c.op = op(o)
+		}
+	}
+	if c.op == opUnknown {
+		c.bad = fmt.Sprintf("unknown op %q", req.Op)
+	}
+	if c.op != opEvent {
+		return c
+	}
 	e := s.home.Env
-	minute := s.minuteOfDay(time.Now())
-
-	switch req.Op {
-	case "state":
-		return response{OK: true, State: stateNames(e, s.state), Minute: minute,
-			Violations: s.violations, Role: s.role()}
-
-	case "event":
-		if s.following.Load() {
-			return response{Error: errFollowerReadOnly}
-		}
-		di, ok := e.DeviceIndex(req.Device)
-		if !ok {
-			return response{Error: fmt.Sprintf("unknown device %q", req.Device)}
-		}
-		act, ok := e.Device(di).ActionID(req.Action)
-		if !ok {
-			return response{Error: fmt.Sprintf("device %q has no action %q", req.Device, req.Action)}
-		}
-		unsafe, err := s.applyEvent(sp, depth, minute, di, act)
-		if err != nil {
-			return response{Error: err.Error()}
-		}
-		return response{OK: true, State: stateNames(e, s.state), Unsafe: unsafe, Minute: minute, Violations: s.violations}
-
-	case "recommend":
-		if s.shedRecommend(depth) {
-			s.shedRecommends++
-			mShedRecommends.Inc()
-			return response{Error: "overloaded: recommendation shed", Busy: true,
-				RetryAfterMs: 250, Minute: minute}
-		}
-		if s.following.Load() {
-			// Read-only replica serving: evaluate against the replica Q
-			// without journaling or counting a served recommendation — the
-			// decision stream is the primary's to record.
-			d, err := s.replicaRecommend(sp, minute)
-			if err != nil {
-				return response{Error: err.Error()}
-			}
-			return response{OK: true, Action: e.FormatAction(d.Action), Minute: minute,
-				Q: d.Value, Degraded: s.sys.DegradedRecommendations(), Role: roleFollower}
-		}
-		d, err := s.recommendOne(sp, minute)
-		if err != nil {
-			return response{Error: err.Error()}
-		}
-		return response{OK: true, Action: e.FormatAction(d.Action), Minute: minute,
-			Q: d.Value, Degraded: s.sys.DegradedRecommendations()}
-
-	case "violations":
-		return response{OK: true, Violations: s.violations, Minute: minute}
-
-	case "checkpoint":
-		if s.following.Load() {
-			return response{Error: errFollowerReadOnly}
-		}
-		if s.store == nil {
-			return response{Error: "daemon started without -checkpoint"}
-		}
-		if err := s.saveCheckpointLocked(); err != nil {
-			return response{Error: err.Error()}
-		}
-		return response{OK: true, Minute: minute}
-
-	case "learnstate":
-		fp, err := s.sys.QFingerprint()
-		if err != nil {
-			return response{Error: err.Error()}
-		}
-		return response{OK: true, Minute: minute, Violations: s.violations,
-			ReplaySize:  s.sys.Agent().ReplayBuffer().Len(),
-			Events:      s.eventsIngested,
-			OnlineSteps: s.onlineSteps,
-			LearnSteps:  s.learnSteps,
-			Recommends:  s.recommendsServed,
-			QSum:        fp,
-			Role:        s.role(),
-		}
-
-	case "promote":
-		if err := s.requestPromote(); err != nil {
-			return response{Error: err.Error(), Role: s.role()}
-		}
-		return response{OK: true, Minute: minute, Role: s.role()}
+	di, ok := e.DeviceIndex(req.Device)
+	if !ok {
+		c.bad = fmt.Sprintf("unknown device %q", req.Device)
+		return c
 	}
-	return response{Error: fmt.Sprintf("unknown op %q", req.Op)}
+	c.device = di
+	if c.action, ok = e.Device(di).ActionID(req.Action); !ok {
+		c.bad = fmt.Sprintf("device %q has no action %q", req.Device, req.Action)
+	}
+	return c
 }
 
-// applyEvent is the codec-independent event op: audit against P_safe,
-// apply the transition, journal, and (when not shed) feed the learner.
-// Callers resolve the device index and action ID; both codecs build their
-// responses from the post-transition server state.
-func (s *server) applyEvent(sp *trace.Span, depth int64, minute, di int, act device.ActionID) (unsafe bool, err error) {
+// jsonResponse shapes a dispatch result into a JSON response. Caller holds
+// s.mu.
+func (s *server) jsonResponse(r *result) response {
+	resp := response{OK: r.err == "", Error: r.err, Busy: r.busy, Unsafe: r.unsafe, QSum: r.qsum}
+	if r.err == "" || r.busy {
+		resp.Minute = r.minute
+	}
+	if r.busy {
+		resp.RetryAfterMs = retryAfterMs
+	}
 	e := s.home.Env
-	a := env.NoOp(e.K())
-	a[di] = act
-	next, err := e.Transition(s.state, a)
-	if err != nil {
-		return false, err
+	if r.show&showState != 0 {
+		resp.State = replay.StateNames(e, s.h.State)
 	}
-	table := s.sys.SafeTable()
-	unsafe = !table.SafeTransitionTraced(sp, e.StateKey(s.state), e.StateKey(next), a)
-	if unsafe {
-		s.violations++
-		mEventsUnsafe.Inc()
-		s.mUnsafeByDevice[di].Inc()
+	if r.show&showViolations != 0 {
+		resp.Violations = s.h.Violations
 	}
-	prev := s.state
-	s.state = next
-	s.eventsIngested++
-	s.journal(sp, replay.Record{K: replay.KindEvent, N: s.eventsIngested, M: minute, D: di, A: act, U: unsafe})
-	// The audit check above is never shed; under pressure only the
-	// learning ingestion below is dropped.
-	if s.shedLearning(depth) {
-		s.shedEvents++
-		mShedEvents.Inc()
-	} else {
-		li := sp.Child("learn.ingest")
-		s.journal(li, replay.Record{K: replay.KindTransition, N: s.onlineSteps + 1, M: minute, D: di, A: act, S: prev})
-		s.ingestTransition(li, prev, a, minute)
-		li.End()
+	if r.show&showAction != 0 {
+		resp.Action, resp.Q = e.FormatAction(r.d.Action), r.d.Value
+		resp.Degraded = s.sys.DegradedRecommendations()
 	}
-	if s.decisions != nil {
-		verdict := "safe"
-		if unsafe {
-			verdict = "unsafe"
-		}
-		s.logDecision(sp, decisionRecord{
-			Kind: "event", Minute: minute,
-			State:   stateNames(e, s.state),
-			Action:  e.FormatAction(a),
-			Verdict: verdict,
-		})
+	if r.show&showLearn != 0 {
+		resp.ReplaySize = s.sys.Agent().ReplayBuffer().Len()
+		resp.Events, resp.OnlineSteps, resp.LearnSteps, resp.Recommends = s.h.Events, s.h.Steps, s.h.LearnSteps, s.h.Recs
 	}
-	return unsafe, nil
-}
-
-// recommendOne is the codec-independent recommend op (admission control is
-// the caller's): evaluate the policy, cross-check against P_safe, score
-// the anomaly filter, and journal the served recommendation.
-func (s *server) recommendOne(sp *trace.Span, minute int) (jarvis.Decision, error) {
-	e := s.home.Env
-	d, err := s.sys.RecommendDecisionTraced(sp, s.state, minute)
-	if err != nil {
-		return jarvis.Decision{}, err
+	if r.show&showRole != 0 {
+		resp.Role = s.role()
 	}
-	verdict := "safe"
-	if d.Degraded {
-		verdict = "degraded"
-	}
-	var score float64
-	if s.nextScratch == nil {
-		s.nextScratch = make(env.State, e.K())
-	}
-	if terr := e.TransitionInto(s.nextScratch, s.state, d.Action); terr == nil {
-		// Cross-check the recommendation against P_safe before handing
-		// it out. The constrained agent only proposes whitelisted
-		// transitions, so a deny here means the table and the optimizer
-		// have drifted apart — worth a loud verdict in the audit log.
-		next := s.nextScratch
-		if !s.sys.SafeTable().SafeTransitionTraced(sp, e.StateKey(s.state), e.StateKey(next), d.Action) {
-			verdict = "unsafe"
-		}
-		if s.filter != nil {
-			// Score the transition through the benign-anomaly ANN —
-			// the daemon's answer to "how unusual is the action I am
-			// about to suggest".
-			score = s.filter.ScoreTraced(sp, env.Transition{
-				From: s.state, Act: d.Action, To: next,
-				Instance: minute,
-				At:       s.startOfDay.Add(time.Duration(minute) * time.Minute),
-			})
-		}
-	}
-	// Journal the served recommendation: recovery only bumps the
-	// counter, but the offline replay engine re-executes the policy at
-	// this point in the stream to regenerate (or counterfactually
-	// rewrite) the decision below.
-	s.recommendsServed++
-	s.journal(sp, replay.Record{K: replay.KindRecommend, N: s.recommendsServed, M: minute})
-	if s.decisions != nil {
-		s.logDecision(sp, decisionRecord{
-			Kind: "recommend", Minute: minute,
-			State:    stateNames(e, s.state),
-			Action:   e.FormatAction(d.Action),
-			Q:        d.Value,
-			Anomaly:  score,
-			Degraded: d.Degraded,
-			Verdict:  verdict,
-		})
-	}
-	return d, nil
-}
-
-// logDecision stamps and appends one record to the decision log (no-op
-// when the log is disabled). Log failures are reported, never fatal: an
-// unwritable audit trail must not take recommendations down with it. A
-// sampled request's trace ID is stamped into the record — the join key
-// between the decision log and /debug/traces.
-func (s *server) logDecision(sp *trace.Span, rec decisionRecord) {
-	if s.decisions == nil {
-		return
-	}
-	rec.UnixNs = time.Now().UnixNano()
-	if id := sp.TraceID(); id != 0 {
-		rec.Trace = trace.IDString(id)
-	}
-	if err := s.decisions.Record(rec); err != nil {
-		s.cfg.Logf("jarvisd: decision log write failed: %v", err)
-		return
-	}
-	mDecisionsLogged.Inc()
-}
-
-func stateNames(e *env.Environment, s env.State) []string {
-	out := make([]string, len(s))
-	for i, st := range s {
-		out[i] = e.Device(i).Name() + "=" + e.Device(i).StateName(st)
-	}
-	return out
+	return resp
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -91,34 +90,29 @@ type tsdbQuery struct {
 // series are addressed by their flat snapshot name, URL-escaped, e.g.
 // series=jarvisd.requests%7Bop%3D%22recommend%22%7D.
 func (s *server) handleTSDB(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
 	if s.ts == nil {
-		w.WriteHeader(http.StatusNotFound)
-		json.NewEncoder(w).Encode(map[string]string{"error": "tsdb disabled (start with -tsdb DIR)"})
+		s.writeError(w, r, http.StatusNotFound, "tsdb disabled (start with -tsdb DIR)")
 		return
 	}
 	q := r.URL.Query()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-
 	series := q.Get("series")
 	if series == "" {
-		doc := tsdbIndex{
+		s.writeJSON(w, r, http.StatusOK, tsdbIndex{
 			IntervalMs: s.cfg.TSInterval.Milliseconds(),
 			Stats:      s.ts.Stats(),
 			Series:     s.ts.SeriesNames(),
-		}
-		if err := enc.Encode(doc); err != nil {
-			s.cfg.Logf("jarvisd: tsdb encode: %v", err)
-		}
+		})
 		return
+	}
+	bad := func(format string, args ...any) {
+		s.writeError(w, r, http.StatusBadRequest, fmt.Sprintf(format, args...))
 	}
 
 	window := 5 * time.Minute
 	if ws := q.Get("window"); ws != "" {
 		d, err := time.ParseDuration(ws)
 		if err != nil || d <= 0 {
-			httpBadRequest(w, enc, "bad window %q", ws)
+			bad("bad window %q", ws)
 			return
 		}
 		window = d
@@ -126,12 +120,12 @@ func (s *server) handleTSDB(w http.ResponseWriter, r *http.Request) {
 	now := time.Now().UnixNano()
 	toNs, err := nsParam(q.Get("to"), now)
 	if err != nil {
-		httpBadRequest(w, enc, "bad to %q", q.Get("to"))
+		bad("bad to %q", q.Get("to"))
 		return
 	}
 	fromNs, err := nsParam(q.Get("from"), toNs-window.Nanoseconds())
 	if err != nil {
-		httpBadRequest(w, enc, "bad from %q", q.Get("from"))
+		bad("bad from %q", q.Get("from"))
 		return
 	}
 
@@ -154,12 +148,10 @@ func (s *server) handleTSDB(w http.ResponseWriter, r *http.Request) {
 		resp.Samples = s.ts.Series(series, fromNs, toNs)
 		resp.OK = len(resp.Samples) > 0
 	default:
-		httpBadRequest(w, enc, "unknown fn %q (want rate, delta, p50, p95, p99, or raw)", fn)
+		bad("unknown fn %q (want rate, delta, p50, p95, p99, or raw)", fn)
 		return
 	}
-	if err := enc.Encode(resp); err != nil {
-		s.cfg.Logf("jarvisd: tsdb encode: %v", err)
-	}
+	s.writeJSON(w, r, http.StatusOK, resp)
 }
 
 // nsParam parses a unix-nanosecond query parameter, defaulting when
@@ -169,9 +161,4 @@ func nsParam(v string, def int64) (int64, error) {
 		return def, nil
 	}
 	return strconv.ParseInt(v, 10, 64)
-}
-
-func httpBadRequest(w http.ResponseWriter, enc *json.Encoder, format string, args ...any) {
-	w.WriteHeader(http.StatusBadRequest)
-	enc.Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }

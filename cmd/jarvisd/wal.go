@@ -1,9 +1,7 @@
 package main
 
 import (
-	"jarvis/internal/env"
 	"jarvis/internal/replay"
-	"jarvis/internal/rl"
 	"jarvis/internal/trace"
 	"jarvis/internal/wal"
 )
@@ -11,9 +9,10 @@ import (
 // The daemon journals three record kinds to its write-ahead log — evt
 // (every applied device event), txn (every event the learning path
 // accepted), and rec (every recommendation served). The record layout and
-// the full semantics live in internal/replay (replay.Record): the same
-// type is what the offline replay engine re-executes, so the daemon's
-// recovery path and `jarvis whatif` read one format by construction.
+// its semantics live in internal/replay: replay.Home's live ops produce
+// the records (through the server's journal hook) and replay.Home.Apply
+// applies them, for boot recovery, follower apply and `jarvis whatif`
+// alike.
 //
 // Records carry a per-kind sequence number. A checkpoint save persists
 // all three counters and then resets the log; if the daemon crashes
@@ -71,6 +70,20 @@ func (s *server) journal(sp *trace.Span, rec replay.Record) {
 	s.noteWALRecord(rec.K, rec.N)
 }
 
+// resetWAL empties the journal once a checkpoint or an adopted snapshot
+// covers it. A failed reset leaves stale records that replay skips by
+// sequence number. Caller holds s.mu.
+func (s *server) resetWAL(after string) {
+	if s.wal == nil {
+		return
+	}
+	if err := s.wal.Reset(); err != nil {
+		s.cfg.Logf("jarvisd: wal reset after %s failed: %v", after, err)
+		return
+	}
+	s.walSpans = nil
+}
+
 // openWAL opens (or creates) the journal and replays whatever survived the
 // last run on top of the restored checkpoint. Must run after the restore /
 // fresh-training decision so the replay applies to the correct base state.
@@ -87,116 +100,59 @@ func (s *server) openWAL() {
 	if rs := wl.Recovery(); rs.TruncatedBytes > 0 {
 		s.cfg.Logf("jarvisd: wal recovery truncated %d torn bytes", rs.TruncatedBytes)
 	}
-	events0, txns0 := s.eventsIngested, s.onlineSteps
-	err = wl.Replay(func(b []byte) error {
-		rec, derr := replay.DecodeRecord(b)
-		if derr != nil {
-			// The framing CRC already passed, so this is a foreign or
-			// future-format record: skip it, don't kill recovery.
-			s.cfg.Logf("jarvisd: wal replay: skipping undecodable record: %v", derr)
-			return nil
-		}
-		s.applyWALRecord(rec)
+	events0, txns0 := s.h.Events, s.h.Steps
+	err = wl.Replay(func(b []byte) error { return s.applyRecord(b, false) })
+	if err != nil {
+		s.cfg.Logf("jarvisd: wal replay stopped early: %v", err)
+	}
+	if s.h.Events != events0 || s.h.Steps != txns0 {
+		s.cfg.Logf("jarvisd: wal replay reapplied %d events, %d learning transitions",
+			s.h.Events-events0, s.h.Steps-txns0)
+	}
+}
+
+// applyRecord runs one journaled record frame through Home.Apply and adds
+// the daemon's side effects. Boot recovery only counts what it reapplied.
+// A follower (shipped) also re-journals each applied record and, with a
+// decision log, logs the decisions Apply regenerates, so a promoted
+// follower's decision log verifies against its WAL like a primary's. A bad
+// record is logged and skipped, never fatal, so the error is always nil.
+func (s *server) applyRecord(b []byte, shipped bool) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	where := "wal replay"
+	if shipped {
+		where = "replication"
+	}
+	rec, err := replay.DecodeRecord(b)
+	if err != nil {
+		// The framing CRC already passed, so this is a foreign or
+		// future-format record: skip it, don't kill recovery.
+		s.cfg.Logf("jarvisd: %s: skipping undecodable record: %v", where, err)
+		return nil
+	}
+	if !shipped {
 		// Even a record the checkpoint already covers still sits in the
 		// journal until the next reset; the span map reports what is on
 		// disk, not what was applied.
 		s.noteWALRecord(rec.K, rec.N)
-		return nil
-	})
+	}
+	o, err := s.h.Apply(rec, shipped && s.decisions != nil)
 	if err != nil {
-		s.cfg.Logf("jarvisd: wal replay stopped early: %v", err)
+		s.cfg.Logf("jarvisd: %s: %v", where, err)
 	}
-	if s.eventsIngested != events0 || s.onlineSteps != txns0 {
-		s.cfg.Logf("jarvisd: wal replay reapplied %d events, %d learning transitions",
-			s.eventsIngested-events0, s.onlineSteps-txns0)
+	if !o.OK {
+		return nil
 	}
-}
-
-// applyWALRecord replays one journaled record through the same code the
-// live path runs, skipping records the restored checkpoint already covers.
-func (s *server) applyWALRecord(rec replay.Record) {
-	e := s.home.Env
-	switch rec.K {
-	case replay.KindEvent:
-		if rec.N <= s.eventsIngested {
-			return // captured by the checkpoint this run restored from
-		}
-		if rec.D < 0 || rec.D >= e.K() {
-			s.cfg.Logf("jarvisd: wal replay: evt #%d has bad device %d", rec.N, rec.D)
-			return
-		}
-		a := env.NoOp(e.K())
-		a[rec.D] = rec.A
-		next, err := e.Transition(s.state, a)
-		if err != nil {
-			s.cfg.Logf("jarvisd: wal replay: evt #%d does not apply: %v", rec.N, err)
-			return
-		}
-		// Re-derive the safety verdict instead of trusting the journaled
-		// flag: the restored P_safe is deterministic, and recomputing keeps
-		// the replayed violation count honest even against a stale record.
-		table := s.sys.SafeTable()
-		if !table.SafeTransition(e.StateKey(s.state), e.StateKey(next), a) {
-			s.violations++
-			mEventsUnsafe.Inc()
-			s.mUnsafeByDevice[rec.D].Inc()
-		}
-		s.state = next
-		s.eventsIngested++
-		mWALReplayedEvents.Inc()
-
-	case replay.KindTransition:
-		if rec.N <= s.onlineSteps {
-			return
-		}
-		if len(rec.S) != e.K() || rec.D < 0 || rec.D >= e.K() {
-			s.cfg.Logf("jarvisd: wal replay: txn #%d malformed", rec.N)
-			return
-		}
-		a := env.NoOp(e.K())
-		a[rec.D] = rec.A
-		s.ingestTransition(nil, rec.S, a, rec.M)
-		mWALReplayedTxns.Inc()
-
-	case replay.KindRecommend:
-		// A recommendation has no state effect; daemon recovery only bumps
-		// the counter so a post-crash checkpoint stays sequence-correct.
-		// (The offline engine is what re-executes the policy here.)
-		if rec.N <= s.recommendsServed {
-			return
-		}
-		s.recommendsServed++
-		mWALReplayedRecs.Inc()
-
-	default:
-		s.cfg.Logf("jarvisd: wal replay: unknown record kind %q", rec.K)
+	s.noteOutcome(o, rec.D)
+	if !shipped {
+		mWALReplayed[rec.K].Inc()
+		return nil
 	}
-}
-
-// ingestTransition feeds one observed transition into the online learner:
-// reward + replay buffer via ObserveTransition, then one learn step every
-// OnlineTrainEvery transitions. The live event path and WAL replay both
-// come through here with identical inputs, and each learn step draws from
-// an RNG seeded only by (daemon seed, transition count) — never by
-// wall-clock or by how the process got here — so a crashed-and-replayed
-// daemon (and the offline replay engine, which calls rl.StepRNG the same
-// way) walks the exact training trajectory of one that never crashed.
-func (s *server) ingestTransition(sp *trace.Span, prev env.State, a env.Action, minute int) {
-	s.onlineSteps++
-	if _, _, err := s.sys.ObserveTransition(prev, a, minute); err != nil {
-		s.cfg.Logf("jarvisd: online observe failed: %v", err)
-		return
+	s.journal(nil, rec)
+	mReplApplied[rec.K].Inc()
+	if o.Decided {
+		s.logDecision(nil, o, 0)
 	}
-	mOnlineObserved.Inc()
-	if s.cfg.OnlineTrainEvery > 0 && s.onlineSteps%s.cfg.OnlineTrainEvery == 0 {
-		ran, err := s.sys.LearnOnlineTraced(sp, rl.StepRNG(s.cfg.Seed, s.onlineSteps))
-		switch {
-		case err != nil:
-			s.cfg.Logf("jarvisd: online learn step failed: %v", err)
-		case ran:
-			s.learnSteps++
-			mOnlineLearnSteps.Inc()
-			s.maybeShadowEval()
-		}
-	}
+	return nil
 }

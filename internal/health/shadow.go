@@ -130,7 +130,7 @@ func (s *Shadow) Run(liveQ []byte) *ShadowReport {
 	// a meaningless baseline. Pre-check and skip until a generation exists.
 	st, err := replay.OpenStore(s.cfg.Source.CheckpointPath, s.cfg.Source.CheckpointRetain)
 	if err == nil {
-		_, _, err = replay.LoadSnapshot(st, s.cfg.Config, s.cfg.Devices)
+		_, _, err = replay.LoadSnapshot(st, s.cfg.Config, s.cfg.Devices, nil)
 	}
 	if err != nil {
 		s.cSkips.Inc()

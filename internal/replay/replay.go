@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"jarvis/internal/env"
-	"jarvis/internal/rl"
 	"jarvis/internal/wal"
 )
 
@@ -50,60 +48,30 @@ type StreamStats struct {
 }
 
 // Replayer re-executes a recorded WAL stream against freshly built (or
-// snapshot-restored) assets. It mirrors the daemon's ingest paths exactly
-// — same transition application, same re-derived P_safe verdicts, same
-// every-Nth learn steps drawn from rl.StepRNG — so a replay of an
-// unmodified configuration walks bit-for-bit the trajectory the daemon
-// walked. ForkAt installs a mutation (e.g. SwapPolicy) that is applied
-// once the stream reaches a given event sequence number; decisions are
-// only emitted from the fork point on.
+// snapshot-restored) assets by applying each record to a Home, the same
+// state machine the daemon serves, recovers and follows through, so a
+// replay of an unmodified configuration walks bit-for-bit the trajectory
+// the daemon walked. On top of the Home it keeps only what a replay adds:
+// ForkAt installs a mutation (e.g. SwapPolicy) that is applied once the
+// stream reaches a given event sequence number, decisions are emitted only
+// from the fork point on, and reward statistics cover the same window.
 type Replayer struct {
-	cfg Config
-	a   *Assets
-
-	state      env.State
-	violations int
-	events     int
-	steps      int // accepted learning transitions (txn sequence)
-	recs       int // recommendations (rec sequence)
-	learnSteps int
+	h *Home
 
 	at     int // fork once events reaches this sequence number
 	forked bool
-	origin bool // no snapshot counters skipped anything
+	origin bool // no seeded counters skipped anything
 	mutate func(*Assets) error
 
 	decisions []Decision
 	stats     StreamStats
 }
 
-// NewReplayer builds a replayer over assets produced by Build (and
-// optionally trained or snapshot-restored). The zero fork point means the
-// whole stream is re-executed and emitted — verify mode.
+// NewReplayer builds a replayer over assets produced by Build and trained.
+// The zero fork point means the whole stream is re-executed and emitted —
+// verify mode.
 func NewReplayer(a *Assets, cfg Config) *Replayer {
-	return &Replayer{
-		cfg:    cfg.withDefaults(),
-		a:      a,
-		state:  a.Home.InitialState(),
-		origin: true,
-	}
-}
-
-// SeedSnapshot primes the replayer's runtime state from a checkpoint
-// generation: environment state, violation count, and the per-kind
-// sequence counters that make already-covered WAL records no-ops.
-func (r *Replayer) SeedSnapshot(ck *Snapshot) {
-	if len(ck.State) == len(r.state) {
-		r.state = ck.State
-	}
-	r.violations = ck.Violations
-	r.events = ck.Events
-	r.steps = ck.OnlineSteps
-	r.recs = ck.Recommends
-	r.learnSteps = ck.LearnSteps
-	if ck.Events > 0 || ck.OnlineSteps > 0 || ck.Recommends > 0 {
-		r.origin = false
-	}
+	return &Replayer{h: NewHome(a, cfg), origin: true}
 }
 
 // ForkAt arranges for mutate (nil for a pure re-execution) to run just
@@ -121,16 +89,13 @@ func (r *Replayer) Decisions() []Decision { return r.decisions }
 // Stats returns the replay's stream statistics.
 func (r *Replayer) Stats() StreamStats {
 	st := r.stats
-	st.Violations = r.violations
-	st.Events = r.events
-	st.Transitions = r.steps
-	st.Recommends = r.recs
-	st.LearnSteps = r.learnSteps
+	st.Violations = r.h.Violations
+	st.Events = r.h.Events
+	st.Transitions = r.h.Steps
+	st.Recommends = r.h.Recs
+	st.LearnSteps = r.h.LearnSteps
 	return st
 }
-
-// State returns the replayer's current environment state.
-func (r *Replayer) State() env.State { return r.state }
 
 // Origin reports whether this replay covers the stream from the very
 // beginning (no checkpoint counters skipped anything) — the case where
@@ -157,7 +122,7 @@ func (r *Replayer) Run(dir string) error {
 		}
 		rec, derr := DecodeRecord(b)
 		if derr != nil {
-			r.cfg.Logf("replay: skipping undecodable record: %v", derr)
+			r.h.cfg.Logf("replay: skipping undecodable record: %v", derr)
 			continue
 		}
 		if err := r.Step(rec); err != nil {
@@ -166,154 +131,42 @@ func (r *Replayer) Run(dir string) error {
 	}
 }
 
-// Step applies one WAL record, mirroring the daemon's live ingest paths.
+// Step applies one WAL record to the Home, re-executing the policy for
+// rec records once the replay has forked.
 func (r *Replayer) Step(rec Record) error {
-	if !r.forked && r.events >= r.at {
-		if err := r.fork(); err != nil {
-			return err
-		}
-	}
-	e := r.a.Home.Env
-	switch rec.K {
-	case KindEvent:
-		if rec.N <= r.events {
-			return nil // covered by the snapshot this replay restored from
-		}
-		if rec.D < 0 || rec.D >= e.K() {
-			r.cfg.Logf("replay: evt #%d has bad device %d", rec.N, rec.D)
-			return nil
-		}
-		a := env.NoOp(e.K())
-		a[rec.D] = rec.A
-		next, err := e.Transition(r.state, a)
-		if err != nil {
-			r.cfg.Logf("replay: evt #%d does not apply: %v", rec.N, err)
-			return nil
-		}
-		// Re-derive the safety verdict instead of trusting the journaled
-		// flag: the restored P_safe is deterministic, and recomputing keeps
-		// the replayed violation count honest even against a stale record.
-		unsafe := !r.a.Sys.SafeTable().SafeTransition(e.StateKey(r.state), e.StateKey(next), a)
-		if unsafe {
-			r.violations++
-		}
-		r.state = next
-		r.events++
-		if r.forked {
-			verdict := "safe"
-			if unsafe {
-				verdict = "unsafe"
-				r.stats.Unsafe++
-			}
-			r.emit(Decision{
-				Kind: "event", Seq: r.events, Minute: rec.M,
-				State:   stateNames(e, r.state),
-				Action:  e.FormatAction(a),
-				Verdict: verdict,
-			})
-		}
-
-	case KindTransition:
-		if rec.N <= r.steps {
-			return nil
-		}
-		if len(rec.S) != e.K() || rec.D < 0 || rec.D >= e.K() {
-			r.cfg.Logf("replay: txn #%d malformed", rec.N)
-			return nil
-		}
-		a := env.NoOp(e.K())
-		a[rec.D] = rec.A
-		r.ingestTransition(rec.S, a, rec.M)
-
-	case KindRecommend:
-		if rec.N <= r.recs {
-			return nil
-		}
-		r.recs++
-		if !r.forked {
-			// A recommendation has no state effect; pre-fork ones need no
-			// re-execution, only the counter.
-			return nil
-		}
-		d, err := r.a.Sys.RecommendDecision(r.state, rec.M)
-		if err != nil {
-			return fmt.Errorf("replay: rec #%d: %w", rec.N, err)
-		}
-		verdict := "safe"
-		if d.Degraded {
-			verdict = "degraded"
-			r.stats.Degraded++
-		}
-		if next, terr := e.Transition(r.state, d.Action); terr == nil {
-			// The same P_safe cross-check the daemon runs before handing a
-			// recommendation out.
-			if !r.a.Sys.SafeTable().SafeTransition(e.StateKey(r.state), e.StateKey(next), d.Action) {
-				verdict = "unsafe"
-				r.stats.Unsafe++
+	if !r.forked && r.h.Events >= r.at {
+		r.forked = true
+		if r.mutate != nil {
+			if err := r.mutate(r.h.a); err != nil {
+				return fmt.Errorf("replay: fork mutation: %w", err)
 			}
 		}
-		if rw := r.a.SimCfg.Reward; rw != nil {
-			r.stats.RecommendReward += rw.R(r.state, d.Action, rec.M)
-		}
-		r.emit(Decision{
-			Kind: "recommend", Seq: r.recs, Minute: rec.M,
-			State:    stateNames(e, r.state),
-			Action:   e.FormatAction(d.Action),
-			Q:        d.Value,
-			Degraded: d.Degraded,
-			Verdict:  verdict,
-		})
-
-	default:
-		r.cfg.Logf("replay: unknown record kind %q", rec.K)
 	}
-	return nil
-}
-
-// ingestTransition feeds one recorded transition into the online learner
-// exactly as the daemon's live path does: reward + replay buffer via
-// ObserveTransition, then one learn step every OnlineTrainEvery
-// transitions, drawn from an RNG seeded only by (seed, transition count).
-func (r *Replayer) ingestTransition(prev env.State, a env.Action, minute int) {
-	r.steps++
-	_, reward, err := r.a.Sys.ObserveTransition(prev, a, minute)
+	o, err := r.h.Apply(rec, r.forked)
 	if err != nil {
-		r.cfg.Logf("replay: observe failed: %v", err)
-		return
-	}
-	if r.forked {
-		r.stats.TransitionReward += reward
-	}
-	if r.cfg.OnlineTrainEvery > 0 && r.steps%r.cfg.OnlineTrainEvery == 0 {
-		ran, err := r.a.Sys.LearnOnline(rl.StepRNG(r.cfg.Seed, r.steps))
-		switch {
-		case err != nil:
-			r.cfg.Logf("replay: learn step failed: %v", err)
-		case ran:
-			r.learnSteps++
+		if o.OK {
+			return fmt.Errorf("replay: %w", err) // the policy failed to re-execute
 		}
+		r.h.cfg.Logf("replay: %v", err)
+		return nil
 	}
-}
-
-func (r *Replayer) fork() error {
-	r.forked = true
-	if r.mutate != nil {
-		if err := r.mutate(r.a); err != nil {
-			return fmt.Errorf("replay: fork mutation: %w", err)
-		}
+	if !o.OK || !r.forked {
+		return nil
 	}
-	return nil
-}
-
-func (r *Replayer) emit(d Decision) {
-	r.decisions = append(r.decisions, d)
+	r.stats.TransitionReward += o.Reward
+	if !o.Decided {
+		return nil
+	}
+	if o.Degraded {
+		r.stats.Degraded++
+	}
+	if o.Unsafe {
+		r.stats.Unsafe++
+	}
+	if rw := r.h.a.SimCfg.Reward; rw != nil && o.Kind == KindRecommend {
+		r.stats.RecommendReward += rw.R(r.h.State, o.Action, o.Minute)
+	}
+	r.decisions = append(r.decisions, r.h.Decision(o))
 	r.stats.Decisions++
-}
-
-func stateNames(e *env.Environment, s env.State) []string {
-	out := make([]string, len(s))
-	for i, st := range s {
-		out[i] = e.Device(i).Name() + "=" + e.Device(i).StateName(st)
-	}
-	return out
+	return nil
 }

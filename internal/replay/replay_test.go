@@ -1,11 +1,13 @@
 package replay
 
 import (
+	"errors"
+	"io"
 	"path/filepath"
 	"reflect"
 	"testing"
 
-	"jarvis/internal/env"
+	"jarvis/internal/trace"
 	"jarvis/internal/wal"
 )
 
@@ -26,23 +28,22 @@ func buildTrained(t *testing.T) *Assets {
 	return a
 }
 
-// synthesizeWAL journals a scripted run — n legal device events, each with
+// synthesizeWAL records a scripted run — n legal device events, each with
 // its learning transition, and one recommendation after every 4th — into a
-// fresh WAL directory, exactly as the daemon's serving path would.
-func synthesizeWAL(t *testing.T, a *Assets, dir string, n int) {
+// fresh WAL directory by driving a Home's live ops over its own freshly
+// trained assets, the code the daemon serves through. It returns that live
+// Home, so a test can compare where replay ends against where serving
+// ended.
+func synthesizeWAL(t *testing.T, dir string, n int) *Home {
 	t.Helper()
 	w, err := wal.Open(dir, wal.Options{Policy: wal.SyncOnRotate})
 	if err != nil {
 		t.Fatalf("wal open: %v", err)
 	}
 	defer w.Close()
-	script := []struct{ device, action string }{
-		{"tv", "power_on"}, {"fridge", "open_door"},
-		{"tv", "power_off"}, {"fridge", "close_door"},
-	}
-	e := a.Home.Env
-	state := a.Home.InitialState()
-	appendRec := func(rec Record) {
+	a := buildTrained(t)
+	h := NewHome(a, testConfig)
+	h.Journal = func(_ *trace.Span, rec Record) {
 		t.Helper()
 		b, err := rec.Encode()
 		if err != nil {
@@ -52,7 +53,11 @@ func synthesizeWAL(t *testing.T, a *Assets, dir string, n int) {
 			t.Fatalf("wal append: %v", err)
 		}
 	}
-	events, recs := 0, 0
+	script := []struct{ device, action string }{
+		{"tv", "power_on"}, {"fridge", "open_door"},
+		{"tv", "power_off"}, {"fridge", "close_door"},
+	}
+	e := a.Home.Env
 	for i := 0; i < n; i++ {
 		sc := script[i%len(script)]
 		di, ok := e.DeviceIndex(sc.device)
@@ -63,20 +68,63 @@ func synthesizeWAL(t *testing.T, a *Assets, dir string, n int) {
 		if !ok {
 			t.Fatalf("%s has no action %q", sc.device, sc.action)
 		}
-		action := env.NoOp(e.K())
-		action[di] = act
-		next, err := e.Transition(state, action)
-		if err != nil {
-			t.Fatalf("event %d (%s %s) illegal from %v: %v", i, sc.device, sc.action, state, err)
+		if _, err := h.Event(nil, 600, di, act, true); err != nil {
+			t.Fatalf("event %d (%s %s) illegal from %v: %v", i, sc.device, sc.action, h.State, err)
 		}
-		events++
-		appendRec(Record{K: KindEvent, N: events, M: 600, D: di, A: act})
-		appendRec(Record{K: KindTransition, N: events, M: 600, D: di, A: act, S: state})
-		state = next
 		if i%4 == 3 {
-			recs++
-			appendRec(Record{K: KindRecommend, N: recs, M: 600})
+			if _, err := h.Recommend(nil, 600, nil); err != nil {
+				t.Fatalf("recommend after event %d: %v", i, err)
+			}
 		}
+	}
+	return h
+}
+
+// applyWAL feeds every record in dir to h through Apply — the path boot
+// recovery and follower apply take.
+func applyWAL(t *testing.T, h *Home, dir string) {
+	t.Helper()
+	c, err := wal.OpenCursor(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for {
+		b, err := c.Next()
+		if errors.Is(err, io.EOF) {
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := DecodeRecord(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Apply(rec, false); err != nil {
+			t.Fatalf("apply %s #%d: %v", rec.K, rec.N, err)
+		}
+	}
+}
+
+// assertSameHome requires two Homes to hold the same environment state,
+// counters and Q function.
+func assertSameHome(t *testing.T, what string, want, got *Home) {
+	t.Helper()
+	if !reflect.DeepEqual(want.State, got.State) || want.Counters != got.Counters {
+		t.Errorf("%s: state %v counters %+v, want state %v counters %+v",
+			what, got.State, got.Counters, want.State, want.Counters)
+	}
+	wfp, err := want.a.Sys.QFingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gfp, err := got.a.Sys.QFingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wfp != gfp {
+		t.Errorf("%s: Q fingerprint %s, want %s", what, gfp, wfp)
 	}
 }
 
@@ -105,15 +153,17 @@ func writeLog(t *testing.T, path string, ds []Decision, omitTail int) {
 }
 
 // TestReplayerIsSelfConsistent is the engine's determinism contract, with
-// no daemon in the loop: replay a synthetic WAL once and record its
-// decision stream, then Verify — which rebuilds everything from scratch —
-// must reproduce that stream bit for bit, and a crash-truncated log must
-// verify only under AllowTruncatedTail.
+// no daemon in the loop: a Home's live ops record a WAL; replaying it once
+// records a decision stream, then Verify — which rebuilds everything from
+// scratch — must reproduce that stream bit for bit, and a crash-truncated
+// log must verify only under AllowTruncatedTail. The live Home, the
+// replayer, and a fresh Home fed the WAL through Apply (the boot-recovery
+// and follower path) must all end in the same state.
 func TestReplayerIsSelfConsistent(t *testing.T) {
 	dir := t.TempDir()
 	walDir := filepath.Join(dir, "wal")
+	live := synthesizeWAL(t, walDir, 32)
 	a1 := buildTrained(t)
-	synthesizeWAL(t, a1, walDir, 32)
 
 	r1 := NewReplayer(a1, testConfig)
 	if err := r1.Run(walDir); err != nil {
@@ -130,6 +180,10 @@ func TestReplayerIsSelfConsistent(t *testing.T) {
 	if st.LearnSteps == 0 {
 		t.Fatal("no online learn steps ran; the determinism claim would be vacuous")
 	}
+	assertSameHome(t, "replayer vs live", live, r1.h)
+	recovered := NewHome(buildTrained(t), testConfig)
+	applyWAL(t, recovered, walDir)
+	assertSameHome(t, "Apply-fed Home vs live", live, recovered)
 	fp1, err := a1.Sys.QFingerprint()
 	if err != nil {
 		t.Fatal(err)
@@ -194,8 +248,8 @@ func TestReplayerIsSelfConsistent(t *testing.T) {
 func TestForkEmitsAlignedTail(t *testing.T) {
 	dir := t.TempDir()
 	walDir := filepath.Join(dir, "wal")
+	synthesizeWAL(t, walDir, 24)
 	a1 := buildTrained(t)
-	synthesizeWAL(t, a1, walDir, 24)
 	r1 := NewReplayer(a1, testConfig)
 	if err := r1.Run(walDir); err != nil {
 		t.Fatal(err)

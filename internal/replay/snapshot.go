@@ -73,8 +73,8 @@ func (ck *Snapshot) Validate(cfg Config, k int) error {
 // RestoreSnapshot rebuilds the trained system from a snapshot instead of
 // training: P_safe, the optimizer wiring, the Q values, the exploration
 // rate, and the replay buffer. The runtime counters (Events, OnlineSteps,
-// Recommends, Violations, State) are NOT applied here — the caller owns
-// where they live (daemon fields or a Replayer).
+// Recommends, Violations, State) are NOT applied here; Home.Seed applies
+// them.
 func (a *Assets) RestoreSnapshot(ck *Snapshot, logf func(format string, args ...any)) error {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -154,16 +154,20 @@ func OpenStore(path string, retain int) (*checkpoint.Store, error) {
 }
 
 // LoadSnapshot decodes the newest usable generation — one that passes its
-// checksum, decodes, and validates against cfg — falling back generation
-// by generation. Returns the snapshot and its generation number.
-func LoadSnapshot(store *checkpoint.Store, cfg Config, k int) (*Snapshot, uint64, error) {
+// checksum, decodes, validates against cfg, and passes accept (nil accepts
+// all) — falling back generation by generation. Returns the snapshot and
+// its generation number.
+func LoadSnapshot(store *checkpoint.Store, cfg Config, k int, accept func(*Snapshot) error) (*Snapshot, uint64, error) {
 	var ck Snapshot
 	gen, err := store.Load(loadRetry, func(r io.Reader) error {
 		ck = Snapshot{}
 		if err := json.NewDecoder(r).Decode(&ck); err != nil {
 			return fmt.Errorf("decode: %v: %w", err, checkpoint.ErrCorrupt)
 		}
-		return ck.Validate(cfg, k)
+		if err := ck.Validate(cfg, k); err != nil || accept == nil {
+			return err
+		}
+		return accept(&ck)
 	})
 	if err != nil {
 		return nil, 0, err

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 
+	"jarvis/internal/checkpoint"
 	"jarvis/internal/experiment"
 )
 
@@ -23,46 +25,40 @@ type Source struct {
 }
 
 // prepare rebuilds the serving state the recorded run started from:
-// deterministic learning assets, then either a snapshot restore (newest
-// usable generation) or fresh training — mirroring newServer's
-// restore-or-train decision. Returns the assets, the snapshot used (nil
-// when training fresh), and its generation number.
-func prepare(cfg Config, src Source) (*Assets, *Snapshot, uint64, error) {
+// deterministic learning assets, then Home.RestoreOrTrain against the
+// run's checkpoint store — the decision newServer makes. Returns a
+// replayer over that state and the generation it was seeded from (0 when
+// training fresh).
+func prepare(cfg Config, src Source) (*Replayer, uint64, error) {
 	cfg = cfg.withDefaults()
 	a, err := Build(cfg)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
+	r := NewReplayer(a, cfg)
+	var store *checkpoint.Store
 	if src.CheckpointPath != "" {
 		retain := src.CheckpointRetain
 		if retain <= 0 {
 			retain = 4
 		}
-		st, err := OpenStore(src.CheckpointPath, retain)
-		if err == nil {
-			ck, gen, lerr := LoadSnapshot(st, cfg, a.Home.Env.K())
-			switch {
-			case lerr == nil:
-				if err := a.RestoreSnapshot(ck, cfg.Logf); err != nil {
-					return nil, nil, 0, err
-				}
-				return a, ck, gen, nil
-			case errors.Is(lerr, os.ErrNotExist):
-				// Empty store: the recorded run trained fresh too.
-			default:
-				// Mirror the daemon: a corrupt or mismatched checkpoint falls
-				// back to fresh training (and the verify will honestly report
-				// any divergence that causes).
-				cfg.Logf("replay: checkpoint unavailable (%v); training fresh", lerr)
-			}
-		} else {
+		if store, err = OpenStore(src.CheckpointPath, retain); err != nil {
 			cfg.Logf("replay: checkpoint store unavailable (%v); training fresh", err)
 		}
 	}
-	if err := a.Train(); err != nil {
-		return nil, nil, 0, err
+	gen, unusable, err := r.h.RestoreOrTrain(store)
+	if err != nil {
+		return nil, 0, err
 	}
-	return a, nil, 0, nil
+	if unusable != nil && !errors.Is(unusable, os.ErrNotExist) {
+		// Like the daemon, a corrupt or mismatched checkpoint falls back to
+		// fresh training (and the verify will honestly report any divergence
+		// that causes). An empty store means the recorded run trained fresh
+		// too.
+		cfg.Logf("replay: checkpoint unavailable (%v); training fresh", unusable)
+	}
+	r.origin = r.h.Events == 0 && r.h.Steps == 0 && r.h.Recs == 0
+	return r, gen, nil
 }
 
 // Divergence pinpoints the first place a regenerated decision stream
@@ -130,13 +126,9 @@ type VerifyReport struct {
 // action, Q, degraded, verdict). Wall-clock-dependent fields (UnixNs,
 // Trace, Anomaly) are excluded by construction — see DESIGN.md §12.
 func Verify(opts VerifyOptions) (*VerifyReport, error) {
-	a, ck, gen, err := prepare(opts.Config, opts.Source)
+	r, gen, err := prepare(opts.Config, opts.Source)
 	if err != nil {
 		return nil, err
-	}
-	r := NewReplayer(a, opts.Config)
-	if ck != nil {
-		r.SeedSnapshot(ck)
 	}
 	if err := r.Run(opts.Source.WALDir); err != nil {
 		return nil, err
@@ -148,13 +140,13 @@ func Verify(opts VerifyOptions) (*VerifyReport, error) {
 	rep := &VerifyReport{
 		Mode:              "verify",
 		WALDir:            opts.Source.WALDir,
-		Restored:          ck != nil,
+		Restored:          gen > 0,
 		CheckpointGen:     gen,
 		Replayed:          r.Stats(),
 		RecordedDecisions: len(recorded),
 		Match:             true,
 	}
-	if fp, err := a.Sys.QFingerprint(); err == nil {
+	if fp, err := r.h.a.Sys.QFingerprint(); err == nil {
 		rep.QFingerprint = fp
 	}
 	replayed := r.Decisions()
@@ -230,7 +222,7 @@ func diffDecision(i int, rec LoggedDecision, rep Decision) *Divergence {
 		d.Reason = "kind"
 	case rec.Minute != rep.Minute:
 		d.Reason = "minute"
-	case !sameStrings(rec.State, rep.State):
+	case !slices.Equal(rec.State, rep.State):
 		d.Reason = "state"
 	case rec.Action != rep.Action:
 		d.Reason = "action"
@@ -244,18 +236,6 @@ func diffDecision(i int, rec LoggedDecision, rep Decision) *Divergence {
 		return nil
 	}
 	return d
-}
-
-func sameStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // WhatIfOptions parameterizes a counterfactual replay: the recorded
@@ -314,13 +294,9 @@ func WhatIf(opts WhatIfOptions) (*WhatIfReport, error) {
 		return nil, errors.New("replay: what-if needs a substituted policy (Q and/or table)")
 	}
 	run := func(mutate func(*Assets) error) (*Replayer, error) {
-		a, ck, _, err := prepare(opts.Config, opts.Source)
+		r, _, err := prepare(opts.Config, opts.Source)
 		if err != nil {
 			return nil, err
-		}
-		r := NewReplayer(a, opts.Config)
-		if ck != nil {
-			r.SeedSnapshot(ck)
 		}
 		r.ForkAt(opts.At, mutate)
 		if err := r.Run(opts.Source.WALDir); err != nil {
@@ -347,10 +323,10 @@ func WhatIf(opts WhatIfOptions) (*WhatIfReport, error) {
 		Variant:            vari.Stats(),
 		FirstDivergenceSeq: -1,
 	}
-	if fp, err := base.a.Sys.QFingerprint(); err == nil {
+	if fp, err := base.h.a.Sys.QFingerprint(); err == nil {
 		rep.BaselineQ = fp
 	}
-	if fp, err := vari.a.Sys.QFingerprint(); err == nil {
+	if fp, err := vari.h.a.Sys.QFingerprint(); err == nil {
 		rep.VariantQ = fp
 	}
 	bd, vd := base.Decisions(), vari.Decisions()

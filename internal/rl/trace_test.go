@@ -4,33 +4,11 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"jarvis/internal/device"
 	"jarvis/internal/env"
 	"jarvis/internal/trace"
 )
-
-// minUpdateTracedNs mirrors minUpdateNs but drives the update through the
-// span-threaded online-learning path with an always-nil span — the exact
-// code a daemon runs with -trace-sample 0.
-func minUpdateTracedNs(t *testing.T, a *Agent, rng *rand.Rand, trials, iters int) float64 {
-	t.Helper()
-	best := float64(0)
-	for trial := 0; trial < trials; trial++ {
-		t0 := time.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := a.LearnStepTraced(nil, rng); err != nil {
-				t.Fatal(err)
-			}
-		}
-		perOp := float64(time.Since(t0).Nanoseconds()) / float64(iters)
-		if best == 0 || perOp < best {
-			best = perOp
-		}
-	}
-	return best
-}
 
 // tracedOverheadAgent wires the overheadBatch DQN into an agent whose
 // replay buffer holds one full mini-batch, so LearnStep and LearnStepTraced
@@ -146,29 +124,26 @@ func TestDQNUpdateTraceOverhead(t *testing.T) {
 		t.Skip("timing comparison skipped in -short mode")
 	}
 
-	const trials, iters = 7, 200
-	best := float64(0)
-	timeRngA := rand.New(rand.NewSource(47))
-	for trial := 0; trial < trials; trial++ {
-		t0 := time.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := plainAgent.LearnStep(timeRngA); err != nil {
+	// Both sides drive the same agent and RNG. LearnStep is itself
+	// LearnStepTraced(nil, rng) (agent.go), so the two sides run identical
+	// code: this comparison measures the harness's own noise floor, and a
+	// failure here means the gate, not the tracing, needs attention.
+	rng := rand.New(rand.NewSource(47))
+	plain := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := plainAgent.LearnStep(rng); err != nil {
 				t.Fatal(err)
 			}
 		}
-		perOp := float64(time.Since(t0).Nanoseconds()) / float64(iters)
-		if best == 0 || perOp < best {
-			best = perOp
+	}
+	traced := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := plainAgent.LearnStepTraced(nil, rng); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	traced := minUpdateTracedNs(t, tracedAgent, rand.New(rand.NewSource(47)), trials, iters)
-
-	overhead := traced/best - 1
-	t.Logf("LearnStep plain %.0f ns/op, nil-span traced %.0f ns/op (%+.2f%%)", best, traced, overhead*100)
-	if overhead > 0.03 {
-		t.Errorf("disabled-tracing overhead %.2f%% exceeds 3%% (plain %.0f ns/op, traced %.0f ns/op)",
-			overhead*100, best, traced)
-	}
+	gateOverhead(t, "nil-span LearnStepTraced", 0.03, plain, traced)
 }
 
 // TestGreedyTracedSpans checks the rl.select span carries the Q value and

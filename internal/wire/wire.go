@@ -45,6 +45,7 @@ const (
 	OpViolations = 4
 	OpCheckpoint = 5
 	OpLearnState = 6
+	OpPromote    = 7
 )
 
 // Response flag bits. Section flags gate the optional payload blocks that
