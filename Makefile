@@ -30,7 +30,10 @@ race-core:
 
 # The crash-recovery drill: SIGKILL a real daemon mid-online-training,
 # boot a successor on its checkpoint + WAL, and require the recovered
-# training state to match a never-crashed control byte for byte.
+# training state to match a never-crashed control byte for byte. The
+# pattern also runs TestCrashRecoverySIGKILLBinaryBatched, the same drill
+# on the binary fast path: pipelined batches, one commit per batch,
+# SIGKILL with batches in flight.
 crash:
 	$(GO) test -run 'TestCrashRecoverySIGKILL|TestWALReplay|TestWALTornTail' -count=1 -v ./cmd/jarvisd/
 
@@ -64,13 +67,14 @@ alerts:
 	$(GO) test -run 'TestAlertSmokeHairTrigger|TestDriftAlertRollsBackAndResolves|TestReplicationLagAlertSmoke' -count=1 -v ./cmd/jarvisd/
 
 # Short fuzz passes over every decoder that reads untrusted bytes: WAL
-# segment frames, checkpoint/nn payloads, policy tables, binary wire
-# frames, and replication protocol messages. Go fuzzing allows one -fuzz
+# segment frames, WAL record payloads, checkpoint/nn payloads, policy
+# tables, binary wire frames, and replication protocol messages. Go fuzzing allows one -fuzz
 # target per invocation, hence one run per decoder.
 FUZZTIME ?= 5s
 
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadSegment -fuzztime $(FUZZTIME) ./internal/wal/
+	$(GO) test -run xxx -fuzz FuzzDecodeRecord -fuzztime $(FUZZTIME) ./internal/replay/
 	$(GO) test -run xxx -fuzz FuzzLoad -fuzztime $(FUZZTIME) ./internal/nn/
 	$(GO) test -run xxx -fuzz FuzzLoadTable -fuzztime $(FUZZTIME) ./internal/policy/
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) ./internal/wire/

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"jarvis/internal/device"
+	"jarvis/internal/trace"
 	"jarvis/internal/wire"
 )
 
@@ -103,9 +104,10 @@ func (s *server) handleBatch(reqs []wire.Request, out []byte) []byte {
 	// consecutive recommend evaluations shareable.
 	minute := s.minuteOfDay(time.Now())
 	var memo recMemo
-	for _, req := range reqs {
+	var sp *trace.Span
+	for i, req := range reqs {
 		c := s.binaryCall(req)
-		sp := s.startOp(c.op, depth)
+		sp = s.startOp(c.op, depth)
 		sp.AnnotateInt("batch", int64(len(reqs)))
 		if c.op == opEvent || c.op == opCheckpoint {
 			// The environment (or the policy) is about to change; the
@@ -114,8 +116,14 @@ func (s *server) handleBatch(reqs []wire.Request, out []byte) []byte {
 		}
 		r := s.dispatch(c, depth, minute, sp, &memo)
 		out = s.appendWireResponse(out, &r)
-		sp.End()
+		if i < len(reqs)-1 {
+			sp.End()
+		}
 	}
+	// One commit journals the whole batch before any response byte is
+	// written; a sampled last request carries it as its wal.append span.
+	s.commitWAL(sp)
+	sp.End()
 	s.mu.Unlock()
 	if !t0.IsZero() {
 		mRequestLatency.Observe(time.Since(t0))

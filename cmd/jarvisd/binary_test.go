@@ -2,13 +2,19 @@ package main
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net"
+	"os"
 	"testing"
 	"time"
 
 	"jarvis/internal/device"
+	"jarvis/internal/fault"
+	"jarvis/internal/replay"
+	"jarvis/internal/telemetry"
+	"jarvis/internal/wal"
 	"jarvis/internal/wire"
 )
 
@@ -291,31 +297,107 @@ func TestJSONAfterBinarySupported(t *testing.T) {
 }
 
 // TestBinaryBatchAllocationFree pins the serving hot path through the one
-// dispatch both codecs share: with the compiled table serving and no WAL,
-// a steady-state binary batch of sixteen recommends, and a
-// state+recommend+violations batch, allocate nothing.
+// dispatch both codecs share: with the compiled table serving, a
+// steady-state binary batch of sixteen recommends, and a
+// state+recommend+violations batch, allocate nothing — without a WAL, and
+// with one at -wal-sync interval, where every recommend is framed into the
+// pending batch and the batch is committed with one write.
 func TestBinaryBatchAllocationFree(t *testing.T) {
-	srv, err := newServer(serverConfig{Seed: 1, LearningDays: 2, Episodes: 2})
+	for name, cfg := range map[string]serverConfig{
+		"no WAL":            {Seed: 1, LearningDays: 2, Episodes: 2},
+		"WAL sync interval": {Seed: 1, LearningDays: 2, Episodes: 2, WALDir: t.TempDir(), WALSync: wal.SyncInterval},
+	} {
+		t.Run(name, func(t *testing.T) {
+			srv, err := newServer(cfg)
+			if err != nil {
+				t.Fatalf("newServer: %v", err)
+			}
+			defer srv.Close()
+			if c := srv.sys.CompiledPolicy(); c == nil || c.Disabled() {
+				t.Fatal("compiled policy not serving")
+			}
+			if (cfg.WALDir != "") != (srv.wal != nil) {
+				t.Fatalf("WAL open = %v, want %v", srv.wal != nil, cfg.WALDir != "")
+			}
+			recs := make([]wire.Request, 16)
+			for i := range recs {
+				recs[i] = wire.Request{Op: wire.OpRecommend}
+			}
+			mix := []wire.Request{{Op: wire.OpState}, {Op: wire.OpRecommend}, {Op: wire.OpViolations}}
+			out := make([]byte, 0, 4<<10)
+			for name, batch := range map[string][]wire.Request{"16 recommends": recs, "state+recommend+violations": mix} {
+				out = srv.handleBatch(batch, out[:0]) // size the response scratch buffers
+				allocs := testing.AllocsPerRun(100, func() {
+					out = srv.handleBatch(batch, out[:0])
+				})
+				if allocs != 0 {
+					t.Errorf("%s batch allocates %.1f objects per call, want 0", name, allocs)
+				}
+			}
+		})
+	}
+}
+
+// TestBinaryBatchCommitsOnce: a served batch of sixteen recommends reaches
+// the WAL in one write(2), and the per-record counters and the /healthz
+// span map advance only once the commit succeeds. A failing commit counts
+// all sixteen records as failed, and the requests are still answered.
+func TestBinaryBatchCommitsOnce(t *testing.T) {
+	disk := fault.NewDisk(fault.DiskWriteError, 1<<30)
+	srv, err := newServer(serverConfig{Seed: 1, LearningDays: 2, Episodes: 2,
+		WALDir: t.TempDir(), WALSync: wal.SyncInterval,
+		WALOpenFile: func(name string, flag int, perm os.FileMode) (wal.File, error) {
+			f, err := os.OpenFile(name, flag, perm)
+			if err != nil {
+				return nil, err
+			}
+			return disk.Wrap(f), nil
+		}})
 	if err != nil {
 		t.Fatalf("newServer: %v", err)
 	}
 	defer srv.Close()
-	if c := srv.sys.CompiledPolicy(); c == nil || c.Disabled() {
-		t.Fatal("compiled policy not serving")
-	}
 	recs := make([]wire.Request, 16)
 	for i := range recs {
 		recs[i] = wire.Request{Op: wire.OpRecommend}
 	}
-	mix := []wire.Request{{Op: wire.OpState}, {Op: wire.OpRecommend}, {Op: wire.OpViolations}}
-	out := make([]byte, 0, 4<<10)
-	for name, batch := range map[string][]wire.Request{"16 recommends": recs, "state+recommend+violations": mix} {
-		out = srv.handleBatch(batch, out[:0]) // size the response scratch buffers
-		allocs := testing.AllocsPerRun(100, func() {
-			out = srv.handleBatch(batch, out[:0])
-		})
-		if allocs != 0 {
-			t.Errorf("%s batch allocates %.1f objects per call, want 0", name, allocs)
+	snap := func() (writes, appends, recorded, failed int64, last int) {
+		c := telemetry.Default.Snapshot().Counters
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return c["wal.writes"], c["wal.appends"], c[`jarvisd.wal.records{kind="rec"}`],
+			c["jarvisd.wal.append_failures"], srv.walSpans[replay.KindRecommend].Last
+	}
+	serve := func() {
+		t.Helper()
+		var resp wire.Response
+		out := srv.handleBatch(recs, nil)
+		for i := 0; i < len(recs); i++ {
+			n := int(binary.LittleEndian.Uint32(out))
+			if err := resp.Decode(out[4 : 4+n]); err != nil || !resp.OK() {
+				t.Fatalf("response %d: %+v, %v", i, resp, err)
+			}
+			out = out[4+n:]
 		}
+	}
+
+	w0, a0, r0, f0, _ := snap()
+	serve()
+	w1, a1, r1, f1, last := snap()
+	if w1-w0 != 1 || a1-a0 != 16 || r1-r0 != 16 || f1 != f0 || last != 16 {
+		t.Errorf("commit: wal.writes +%d, wal.appends +%d, records{rec} +%d, failures +%d, span last %d; want +1, +16, +16, +0, 16",
+			w1-w0, a1-a0, r1-r0, f1-f0, last)
+	}
+
+	// The next segment opens through a disk that fails every write.
+	disk = fault.NewDisk(fault.DiskWriteError, 0)
+	if err := srv.wal.Rotate(); err != nil {
+		t.Fatalf("rotate: %v", err)
+	}
+	serve()
+	w2, a2, r2, f2, last := snap()
+	if w2 != w1 || a2 != a1 || r2 != r1 || f2-f1 != 16 || last != 16 {
+		t.Errorf("failed commit: wal.writes +%d, wal.appends +%d, records{rec} +%d, failures +%d, span last %d; want +0, +0, +0, +16, 16",
+			w2-w1, a2-a1, r2-r1, f2-f1, last)
 	}
 }

@@ -35,10 +35,11 @@ type childDaemon struct {
 // spawnChildDaemon re-execs the test binary as a durable daemon rooted at
 // dir. A non-empty followAddr starts it as a hot standby of that primary
 // (2s auto-promote, debug listener on) and waits for the debug banner too.
-func spawnChildDaemon(t *testing.T, dir, followAddr string) *childDaemon {
+// env adds KEY=value settings to the child's environment.
+func spawnChildDaemon(t *testing.T, dir, followAddr string, env ...string) *childDaemon {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], "-test.run=^TestJarvisdChildProcess$", "-test.count=1")
-	cmd.Env = append(os.Environ(), crashChildEnv+"="+dir)
+	cmd.Env = append(append(os.Environ(), crashChildEnv+"="+dir), env...)
 	if followAddr != "" {
 		cmd.Env = append(cmd.Env, crashFollowEnv+"="+followAddr)
 	}

@@ -246,14 +246,17 @@ func (s *server) noteOutcome(o replay.Outcome, di int) {
 }
 
 // logDecision appends the decision an outcome produced to the decision log
-// (no-op when the log is disabled). Log failures are reported, never
-// fatal: an unwritable audit trail must not take recommendations down with
-// it. A sampled request's trace ID is stamped into the record — the join
-// key between the decision log and /debug/traces.
+// (no-op when the log is disabled). The pending journal batch is committed
+// first, so the decision log never holds a decision whose record is not
+// in the WAL. Log failures are reported, never fatal: an unwritable audit
+// trail must not take recommendations down with it. A sampled request's
+// trace ID is stamped into the record — the join key between the decision
+// log and /debug/traces.
 func (s *server) logDecision(sp *trace.Span, o replay.Outcome, anomaly float64) {
 	if s.decisions == nil {
 		return
 	}
+	s.commitWAL(sp)
 	d := s.h.Decision(o)
 	rec := replay.LoggedDecision{UnixNs: time.Now().UnixNano(), Kind: d.Kind, Minute: d.Minute,
 		State: d.State, Action: d.Action, Q: d.Q, Degraded: d.Degraded, Verdict: d.Verdict,

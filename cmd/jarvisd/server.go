@@ -282,6 +282,13 @@ type server struct {
 	store *checkpoint.Store
 	// wal is the event/transition journal (nil when disabled).
 	wal *wal.Log
+	// walBatch holds the records journaled since the last commit,
+	// walPending their kinds and sequence numbers, and walScratch one
+	// record's payload while it is framed (all guarded by mu; see
+	// commitWAL). The batch is empty whenever mu is free.
+	walBatch   wal.Batch
+	walPending []walNote
+	walScratch []byte
 	// watchdog monitors the agent for divergence and rolls Q back to the
 	// newest valid generation; always attached, but only able to restore
 	// when the store is available.
@@ -766,6 +773,7 @@ func (s *server) handle(req request) response {
 	s.mu.Lock()
 	qw.End()
 	r := s.dispatch(c, depth, s.minuteOfDay(time.Now()), sp, nil)
+	s.commitWAL(sp)
 	resp := s.jsonResponse(&r)
 	s.mu.Unlock()
 	if !t0.IsZero() {

@@ -19,6 +19,16 @@ import (
 // between the save and the reset, replay skips every record whose
 // sequence the checkpoint already covers, so the overlap window
 // double-applies nothing.
+//
+// Journaling is two steps. journal frames a record into the server's
+// pending batch; commitWAL writes the batch with one Log.Commit (one
+// write(2), and under -wal-sync record one fsync). The batch is committed
+// before s.mu is released — at the end of a binary batch or a JSON
+// request, after a follower applies a record, before a WAL reset, and
+// before a decision is logged — so it is empty whenever s.mu is free: the
+// WAL order is the order state changed in, across connections, no
+// response leaves before the records it acknowledges are committed, and
+// the decision log never runs ahead of the WAL.
 
 // walSpan is the first/last kind-local sequence number currently sitting
 // in the journal — the /healthz view of what a crash would replay.
@@ -47,36 +57,61 @@ func (s *server) noteWALRecord(k string, n int) {
 	s.walSpans[k] = sp
 }
 
-// journal appends one record to the WAL. Append failures degrade
-// durability, never availability: they are counted and logged, and the
-// request proceeds. A sampled request's span gets a wal.append child
-// showing the durability cost inside the request.
-func (s *server) journal(sp *trace.Span, rec replay.Record) {
+// walNote is a pending record's kind and sequence number, folded into the
+// span map and the per-kind counters once its commit succeeds.
+type walNote struct {
+	k string
+	n int
+}
+
+// journal is the Home's Journal hook: it frames one record into the
+// pending batch, which commitWAL writes. Caller holds s.mu.
+func (s *server) journal(rec replay.Record) {
 	if s.wal == nil {
 		return
 	}
-	b, err := rec.Encode()
-	if err == nil {
-		err = s.wal.AppendTraced(sp, b)
-	}
-	if err != nil {
+	s.walScratch = rec.AppendBinary(s.walScratch[:0])
+	if err := s.walBatch.Add(s.walScratch); err != nil {
 		mWALAppendFailures.Inc()
 		s.cfg.Logf("jarvisd: wal append (%s #%d) failed: %v", rec.K, rec.N, err)
 		return
 	}
-	if c, ok := mWALRecords[rec.K]; ok {
-		c.Inc()
+	s.walPending = append(s.walPending, walNote{rec.K, rec.N})
+}
+
+// commitWAL writes the pending batch with one Log.Commit, under a
+// wal.append child of sp when the request is sampled. A failed commit
+// degrades durability, never availability: every record in it is counted
+// as failed, one line is logged, and the requests proceed. Caller holds
+// s.mu; the batch is empty on return.
+func (s *server) commitWAL(sp *trace.Span) {
+	n := s.walBatch.Len()
+	if n == 0 {
+		return
 	}
-	s.noteWALRecord(rec.K, rec.N)
+	if err := s.wal.CommitTraced(sp, &s.walBatch); err != nil {
+		mWALAppendFailures.Add(int64(n))
+		first, last := s.walPending[0], s.walPending[n-1]
+		s.cfg.Logf("jarvisd: wal commit of %d records (%s #%d .. %s #%d) failed: %v",
+			n, first.k, first.n, last.k, last.n, err)
+	} else {
+		for _, p := range s.walPending {
+			mWALRecords[p.k].Inc()
+			s.noteWALRecord(p.k, p.n)
+		}
+	}
+	s.walBatch.Reset()
+	s.walPending = s.walPending[:0]
 }
 
 // resetWAL empties the journal once a checkpoint or an adopted snapshot
-// covers it. A failed reset leaves stale records that replay skips by
-// sequence number. Caller holds s.mu.
+// covers it, committing any pending records first. A failed reset leaves
+// stale records that replay skips by sequence number. Caller holds s.mu.
 func (s *server) resetWAL(after string) {
 	if s.wal == nil {
 		return
 	}
+	s.commitWAL(nil)
 	if err := s.wal.Reset(); err != nil {
 		s.cfg.Logf("jarvisd: wal reset after %s failed: %v", after, err)
 		return
@@ -149,7 +184,8 @@ func (s *server) applyRecord(b []byte, shipped bool) error {
 		mWALReplayed[rec.K].Inc()
 		return nil
 	}
-	s.journal(nil, rec)
+	s.journal(rec)
+	s.commitWAL(nil)
 	mReplApplied[rec.K].Inc()
 	if o.Decided {
 		s.logDecision(nil, o, 0)

@@ -27,10 +27,10 @@ type Home struct {
 	State env.State
 
 	// Journal, when set, receives each record a live op produces, at the
-	// point the op produces it: evt right after the audit, txn inside the
-	// learn.ingest span before the learner sees it, rec once the sequence
-	// advances. Apply never calls it: its records are journaled already.
-	Journal func(sp *trace.Span, rec Record)
+	// point the op produces it: evt right after the audit, txn before the
+	// learner sees it, rec once the sequence advances. Apply never calls
+	// it: its records are journaled already.
+	Journal func(rec Record)
 
 	a    *Assets
 	cfg  Config
@@ -162,11 +162,11 @@ func (h *Home) Event(sp *trace.Span, minute, di int, act device.ActionID, learn 
 		return o, err
 	}
 	evt.U = o.Unsafe
-	h.journal(sp, evt)
+	h.journal(evt)
 	if learn {
 		li := sp.Child("learn.ingest")
 		txn := Record{K: KindTransition, N: h.Steps + 1, M: minute, D: di, A: act, S: prev}
-		h.journal(li, txn)
+		h.journal(txn)
 		t, _ := h.apply(li, txn, true, false)
 		o.Observed, o.Learned, o.Reward = t.Observed, t.Learned, t.Reward
 		li.End()
@@ -188,7 +188,7 @@ func (h *Home) Recommend(sp *trace.Span, minute int, reuse *Outcome) (Outcome, e
 	}
 	h.Recs++
 	o.OK, o.Kind, o.Seq, o.Minute = true, KindRecommend, h.Recs, minute
-	h.journal(sp, Record{K: KindRecommend, N: h.Recs, M: minute})
+	h.journal(Record{K: KindRecommend, N: h.Recs, M: minute})
 	return o, nil
 }
 
@@ -325,9 +325,9 @@ func (h *Home) safe(sp *trace.Span, live bool, from, to env.State, a env.Action)
 	return t.SafeTransition(e.StateKey(from), e.StateKey(to), a)
 }
 
-func (h *Home) journal(sp *trace.Span, rec Record) {
+func (h *Home) journal(rec Record) {
 	if h.Journal != nil {
-		h.Journal(sp, rec)
+		h.Journal(rec)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"jarvis/internal/trace"
 	"jarvis/internal/wal"
 )
 
@@ -36,6 +35,13 @@ func buildTrained(t *testing.T) *Assets {
 // ended.
 func synthesizeWAL(t *testing.T, dir string, n int) *Home {
 	t.Helper()
+	return synthesizeWALWith(t, dir, n, Record.Encode)
+}
+
+// synthesizeWALWith is synthesizeWAL with the record payload encoder
+// chosen by the caller.
+func synthesizeWALWith(t *testing.T, dir string, n int, encode func(Record) ([]byte, error)) *Home {
+	t.Helper()
 	w, err := wal.Open(dir, wal.Options{Policy: wal.SyncOnRotate})
 	if err != nil {
 		t.Fatalf("wal open: %v", err)
@@ -43,9 +49,9 @@ func synthesizeWAL(t *testing.T, dir string, n int) *Home {
 	defer w.Close()
 	a := buildTrained(t)
 	h := NewHome(a, testConfig)
-	h.Journal = func(_ *trace.Span, rec Record) {
+	h.Journal = func(rec Record) {
 		t.Helper()
-		b, err := rec.Encode()
+		b, err := encode(rec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,15 +24,28 @@
 // segments survive rotation — 0 keeps everything until Reset, which is the
 // right setting when the log is truncated at checkpoint barriers.
 //
+// # Commit path
+//
+// Writers stage records in a Batch (Batch.Add frames each payload into the
+// caller-owned buffer) and hand it to Commit, which issues one write(2)
+// for the whole batch, checks rotation once before it, and applies the
+// sync policy once after it. Append is a one-record Commit. A batch never
+// straddles segments: it is written whole into the active segment (or the
+// fresh one a rotation opens), so a crash mid-write leaves at most a torn
+// tail, which recovery cuts back to the last whole frame.
+//
 // # Durability
 //
-// Options.Policy picks the fsync cadence: SyncEveryRecord (each Append is
+// Options.Policy picks the fsync cadence: SyncEveryRecord (each Commit is
 // durable before it returns — the default, and what an acknowledging
-// server should use), SyncInterval (group commit: at most Interval of
-// acknowledged-but-unsynced data is exposed to power loss), or
-// SyncOnRotate (durability only at segment seams; cheapest, for derived
-// data). Segment creation and deletion fsync the directory, so the file
-// *names* survive power loss too.
+// server should use: one fsync covers a whole batch), SyncInterval (group
+// commit: a Commit syncs when Interval has passed since the last sync,
+// and a Commit that leaves data unsynced arms a one-shot timer that syncs
+// at that deadline even if no further Commit comes, so at most Interval
+// of committed data is ever exposed to power loss), or SyncOnRotate
+// (durability only at segment seams; cheapest, for derived data).
+// Segment creation and deletion fsync the directory, so the file *names*
+// survive power loss too.
 //
 // # Recovery
 //
@@ -59,15 +72,15 @@ import (
 	"time"
 )
 
-// SyncPolicy selects when Append data reaches stable storage.
+// SyncPolicy selects when committed data reaches stable storage.
 type SyncPolicy int
 
 const (
-	// SyncEveryRecord fsyncs after every Append: an acknowledged record is
-	// a durable record. The default.
+	// SyncEveryRecord fsyncs after every Commit (and so every Append): an
+	// acknowledged record is a durable record. The default.
 	SyncEveryRecord SyncPolicy = iota
-	// SyncInterval fsyncs when at least Options.Interval has elapsed since
-	// the last sync (group commit, amortized over bursts).
+	// SyncInterval fsyncs at most Options.Interval after data is committed
+	// (group commit, amortized over bursts).
 	SyncInterval
 	// SyncOnRotate fsyncs only when a segment seals (and on Sync/Close).
 	SyncOnRotate
@@ -143,7 +156,8 @@ type RecoveryStats struct {
 }
 
 // Log is a segmented write-ahead log rooted at one directory. All methods
-// are safe for concurrent use; Append is allocation-free at steady state.
+// are safe for concurrent use; Append and Commit are allocation-free at
+// steady state.
 type Log struct {
 	dir  string
 	opts Options
@@ -155,14 +169,46 @@ type Log struct {
 	sealed      []uint64 // sealed segment numbers, ascending
 	sealedBytes int64    // bytes across the sealed segments still on disk
 	lastSync    time.Time
+	dirty       bool // committed data not yet synced
 	appended    bool // records appended since Open (Replay is pre-append only)
 	closed      bool
 	rec         RecoveryStats
 
-	// scratch assembles header+payload into one contiguous write so a
-	// record hits the file in a single syscall; grown on demand, reused.
-	scratch []byte
+	// deadline is the SyncInterval one-shot sync timer; armed while a
+	// commit's data waits for it.
+	deadline *time.Timer
+	armed    bool
+
+	// one frames Append's single record; reused.
+	one Batch
 }
+
+// Batch stages framed records for one Commit. The zero value is an empty
+// batch; its buffer is reused across Reset, so a steady-state writer
+// allocates nothing. A Batch is not safe for concurrent use.
+type Batch struct {
+	frames []byte
+	n      int
+}
+
+// Add frames payload (copied) as the batch's next record.
+func (b *Batch) Add(payload []byte) error {
+	if len(payload) > MaxRecordBytes {
+		return ErrTooLarge
+	}
+	var hdr [headerSize]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
+	b.frames = append(append(b.frames, hdr[:]...), payload...)
+	b.n++
+	return nil
+}
+
+// Len is the number of records staged.
+func (b *Batch) Len() int { return b.n }
+
+// Reset empties the batch, keeping its buffer.
+func (b *Batch) Reset() { b.frames, b.n = b.frames[:0], 0 }
 
 // Open creates dir if needed, recovers the existing log (truncating a torn
 // tail in the last segment), and returns a Log ready for Replay and
@@ -271,36 +317,49 @@ func (l *Log) Replay(fn func(rec []byte) error) error {
 	return nil
 }
 
-// Append journals one record. The payload is copied before return; with
-// SyncEveryRecord it is durable before return.
+// Append journals one record: a Commit of a one-record batch. The payload
+// is copied before return; with SyncEveryRecord it is durable before
+// return.
 func (l *Log) Append(payload []byte) error {
-	if len(payload) > MaxRecordBytes {
-		return ErrTooLarge
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.one.Reset()
+	if err := l.one.Add(payload); err != nil {
+		return err
+	}
+	return l.commitLocked(&l.one)
+}
+
+// Commit writes every record staged in b with one write(2) and applies
+// the sync policy once: with SyncEveryRecord the whole batch is durable
+// before return. An empty batch is a no-op. The caller keeps b and
+// resets it; on error none, some, or all of its records may have reached
+// the file, and recovery keeps only whole frames.
+func (l *Log) Commit(b *Batch) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.commitLocked(b)
+}
+
+func (l *Log) commitLocked(b *Batch) error {
+	if b.n == 0 {
+		return nil
+	}
 	if l.closed {
 		return errors.New("wal: closed")
 	}
-	if l.size > 0 && l.size+int64(headerSize+len(payload)) > l.opts.SegmentBytes {
+	if l.size > 0 && l.size+int64(len(b.frames)) > l.opts.SegmentBytes {
 		if err := l.rotateLocked(); err != nil {
 			return err
 		}
 	}
-	need := headerSize + len(payload)
-	if cap(l.scratch) < need {
-		l.scratch = make([]byte, need)
-	}
-	buf := l.scratch[:need]
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, castagnoli))
-	copy(buf[headerSize:], payload)
-	if _, err := l.f.Write(buf); err != nil {
+	if _, err := l.f.Write(b.frames); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
-	l.size += int64(need)
-	l.appended = true
-	mAppends.Inc()
+	l.size += int64(len(b.frames))
+	l.appended, l.dirty = true, true
+	mWrites.Inc()
+	mAppends.Add(int64(b.n))
 	switch l.opts.Policy {
 	case SyncEveryRecord:
 		return l.syncLocked()
@@ -308,8 +367,44 @@ func (l *Log) Append(payload []byte) error {
 		if time.Since(l.lastSync) >= l.opts.Interval {
 			return l.syncLocked()
 		}
+		l.armLocked()
 	}
 	return nil
+}
+
+// armLocked schedules the SyncInterval deadline sync for Interval after
+// the last sync, unless it is already pending. At most one arm per
+// interval, so commits inside the window pay only the armed check.
+func (l *Log) armLocked() {
+	if l.armed {
+		return
+	}
+	l.armed = true
+	wait := l.opts.Interval - time.Since(l.lastSync)
+	if l.deadline == nil {
+		l.deadline = time.AfterFunc(wait, l.deadlineSync)
+	} else {
+		l.deadline.Reset(wait)
+	}
+}
+
+// deadlineSync is the timer body: it syncs data that is still unsynced at
+// its deadline. If a commit synced since the timer was armed it does
+// nothing, or re-arms when newer data is pending and the interval since
+// that sync has not yet passed. A failed sync leaves lastSync stale, so
+// the next commit retries it and returns the error to its writer.
+func (l *Log) deadlineSync() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.armed = false
+	if l.closed || !l.dirty {
+		return
+	}
+	if time.Since(l.lastSync) < l.opts.Interval {
+		l.armLocked()
+		return
+	}
+	_ = l.syncLocked()
 }
 
 // Sync forces everything appended so far to stable storage.
@@ -326,7 +421,7 @@ func (l *Log) syncLocked() error {
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("wal: sync: %w", err)
 	}
-	l.lastSync = time.Now()
+	l.lastSync, l.dirty = time.Now(), false
 	mSyncs.Inc()
 	return nil
 }
@@ -395,6 +490,7 @@ func (l *Log) Reset() error {
 	next := l.seq + 1
 	l.sealed = l.sealed[:0]
 	l.sealedBytes = 0
+	l.dirty = false
 	if err := l.openSegment(next); err != nil {
 		return err
 	}
@@ -411,6 +507,9 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
+	if l.deadline != nil {
+		l.deadline.Stop()
+	}
 	if err := l.f.Sync(); err != nil {
 		l.f.Close()
 		return fmt.Errorf("wal: close: %w", err)
