@@ -67,14 +67,16 @@ alerts:
 	$(GO) test -run 'TestAlertSmokeHairTrigger|TestDriftAlertRollsBackAndResolves|TestReplicationLagAlertSmoke' -count=1 -v ./cmd/jarvisd/
 
 # Short fuzz passes over every decoder that reads untrusted bytes: WAL
-# segment frames, WAL record payloads, checkpoint/nn payloads, policy
-# tables, binary wire frames, and replication protocol messages. Go fuzzing allows one -fuzz
-# target per invocation, hence one run per decoder.
+# segment frames, WAL record payloads, metric-history (tsdb) samples,
+# checkpoint/nn payloads, policy tables, binary wire frames, and
+# replication protocol messages. Go fuzzing allows one -fuzz target per
+# invocation, hence one run per decoder.
 FUZZTIME ?= 5s
 
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadSegment -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -run xxx -fuzz FuzzDecodeRecord -fuzztime $(FUZZTIME) ./internal/replay/
+	$(GO) test -run xxx -fuzz FuzzDecodeSample -fuzztime $(FUZZTIME) ./internal/tsdb/
 	$(GO) test -run xxx -fuzz FuzzLoad -fuzztime $(FUZZTIME) ./internal/nn/
 	$(GO) test -run xxx -fuzz FuzzLoadTable -fuzztime $(FUZZTIME) ./internal/policy/
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) ./internal/wire/

@@ -324,8 +324,8 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	h.TelemetryEventsDropped = telemetry.Default.Events().Dropped()
 	h.TelemetrySeries = telemetry.Default.SeriesCount()
 	h.TelemetryLabelsDropped = telemetry.Default.LabelsDropped()
-	if s.ts != nil {
-		st := s.ts.Stats()
+	if db := s.history(); db != nil {
+		st := db.Stats()
 		h.TSDB = &st
 	}
 	h.TracesSampled = s.tracer.Ring().Len()

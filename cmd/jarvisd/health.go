@@ -17,8 +17,10 @@ import (
 // The policy-health layer (DESIGN.md §14) runs on two cadences, both off
 // the request path:
 //
-//   - the health ticker (HealthInterval) snapshots telemetry, feeds the
-//     SLO tracker, and evaluates the alert rules;
+//   - the history ticker (TSInterval) appends a telemetry snapshot to the
+//     metric store, on disk under -tsdb and in memory otherwise;
+//   - the health ticker (HealthInterval) rescores the SLO tracker over
+//     that store and evaluates the alert rules;
 //   - the shadow evaluator runs every ShadowEvery online learn steps:
 //     the learn path captures the live Q under the state lock (cheap
 //     serialization), then a goroutine replays the WAL window through
@@ -126,16 +128,14 @@ func (s *server) initHealth() error {
 			Budget: 256,
 		})
 	}
-	tr, err := health.NewTracker(s.cfg.SLOWindow, objectives, telemetry.Default)
+	s.ts = s.openHistory()
+	tr, err := health.NewTracker(s.cfg.SLOWindow, objectives, s.ts, telemetry.Default)
 	if err != nil {
 		eng.Close()
+		s.ts.Close()
 		return err
 	}
 	s.slo = tr
-
-	// The metric history opens after the tracker so it can immediately
-	// become the tracker's window source (tsdb.go).
-	s.initTSDB()
 
 	// Shadow evaluation needs both a journal to replay and a checkpoint
 	// generation to fork from; without either it stays off and the drift
@@ -158,32 +158,27 @@ func (s *server) initHealth() error {
 	return nil
 }
 
-// healthLoop is the evaluation ticker: snapshot → SLO observe → rule
-// evaluation, every HealthInterval until shutdown. With a metric history
-// open it also appends one snapshot per TSInterval — the history the SLO
-// tracker reads its window edges from.
+// healthLoop runs both tickers until shutdown: every TSInterval it
+// appends one snapshot to the metric store the SLO tracker scores from,
+// and every HealthInterval it rescores the SLOs and evaluates the alert
+// rules.
 func (s *server) healthLoop() {
 	defer s.wg.Done()
 	t := time.NewTicker(s.cfg.HealthInterval)
 	defer t.Stop()
-	var tsC <-chan time.Time
-	if s.ts != nil {
-		ts := time.NewTicker(s.cfg.TSInterval)
-		defer ts.Stop()
-		tsC = ts.C
-	}
+	ts := time.NewTicker(s.cfg.TSInterval)
+	defer ts.Stop()
 	for {
 		select {
 		case <-s.stop:
 			return
-		case <-tsC:
+		case <-ts.C:
 			if err := s.ts.Append(tsdb.FromSnapshot(telemetry.Default.Snapshot())); err != nil {
 				s.cfg.Logf("jarvisd: tsdb append: %v", err)
 			}
 		case <-t.C:
-			snap := telemetry.Default.Snapshot()
-			s.slo.Observe(snap)
-			s.health.Evaluate(snap)
+			s.slo.Observe()
+			s.health.Evaluate(telemetry.Default.Snapshot())
 		}
 	}
 }

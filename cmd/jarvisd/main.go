@@ -86,7 +86,7 @@ func run(args []string) error {
 	alertRules := fs.String("alert-rules", "", "alert rules file (JSON; empty = built-in defaults, \"none\" = disable alerting)")
 	alertLog := fs.String("alert-log", "", "append one JSON line per alert firing/resolved transition to this file (empty = disabled)")
 	sloWindow := fs.Duration("slo-window", 10*time.Minute, "rolling window for SLO error-budget burn rates")
-	tsdbDir := fs.String("tsdb", "", "on-disk metric history directory: append one telemetry snapshot per -ts-interval, serve range queries on /debug/tsdb (empty = disabled)")
+	tsdbDir := fs.String("tsdb", "", "on-disk metric history directory: append one telemetry snapshot per -ts-interval, serve range queries on /debug/tsdb (empty = keep only the SLO window, in memory)")
 	tsInterval := fs.Duration("ts-interval", 0, "metric history append cadence (0 = the health-evaluation interval)")
 	shadowEvery := fs.Int("shadow-every", 32, "run one shadow policy evaluation per N online learn steps (<= 0 = disabled; needs -wal and -checkpoint)")
 	profileDir := fs.String("profile-dir", "", "capture cpu.pprof (first -profile-cpu-window) and a shutdown heap.pprof into this directory (empty = disabled)")

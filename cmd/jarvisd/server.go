@@ -153,11 +153,11 @@ type serverConfig struct {
 	// HealthInterval is the alert/SLO evaluation cadence (default 5s).
 	HealthInterval time.Duration
 
-	// TSDBDir, when non-empty, opens an on-disk metric history in this
-	// directory: one delta-encoded telemetry snapshot per TSInterval,
-	// WAL-style segment rotation and retention, served back by
-	// /debug/tsdb. With a store open the SLO tracker reads its window
-	// edges from it instead of an in-memory ring, so burn rates and
+	// TSDBDir, when non-empty, keeps the metric history on disk in this
+	// directory: one delta-encoded telemetry snapshot per TSInterval in a
+	// wal.Log with segment rotation and retention, served back by
+	// /debug/tsdb. Empty keeps just the SLO window in memory. Either way
+	// the SLO tracker scores from that store, so burn rates and
 	// /debug/tsdb range queries agree by construction. Requires the
 	// health subsystem (no-op under AlertingOff).
 	TSDBDir string
@@ -322,10 +322,11 @@ type server struct {
 	// is a slice index plus an atomic add.
 	mUnsafeByDevice []*telemetry.Counter
 
-	// ts is the daemon's on-disk metric history (nil when cfg.TSDBDir is
-	// empty): the health ticker appends one snapshot per TSInterval, the
-	// SLO tracker reads its window edges from it, and /debug/tsdb serves
-	// range queries over it.
+	// ts is the daemon's metric history, on disk under cfg.TSDBDir and
+	// in memory otherwise (nil under AlertingOff): the health ticker
+	// appends one snapshot per TSInterval, the SLO tracker scores its
+	// window from it, and with a directory /debug/tsdb serves range
+	// queries over it.
 	ts *tsdb.DB
 
 	// tracer samples request traces (disabled, never nil, when

@@ -6,57 +6,49 @@ import (
 	"strconv"
 	"time"
 
-	"jarvis/internal/telemetry"
 	"jarvis/internal/tsdb"
 )
 
 // The daemon's metric history (internal/tsdb) hangs off the health
 // ticker: every TSInterval the loop appends one registry snapshot to the
-// on-disk store, and the SLO tracker reads its window edges back out of
-// it through this adapter. /debug/tsdb serves range queries over the
-// same store, so an operator recomputing a burn rate with
+// store, and the SLO tracker scores its window from the same store. With
+// -tsdb the store is on disk and /debug/tsdb serves range queries over
+// it, so an operator recomputing a burn rate with
 // ?series=...&fn=delta gets the number /debug/slo published — both sides
-// resolve the identical (EdgeBefore, Latest) pair.
+// resolve the identical (EdgeBefore, Latest) pair. Without -tsdb the
+// store lives in memory and holds just the SLO window.
 
-// tsdbSource adapts the metric history to health.WindowSource.
-type tsdbSource struct{ db *tsdb.DB }
-
-func (t tsdbSource) Latest() (telemetry.Snapshot, bool) {
-	p, ok := t.db.Latest()
-	return pointSnapshot(p), ok
+// openHistory opens the metric store: on disk when configured, else in
+// memory. A store that cannot open falls back to memory rather than
+// refusing to start — metric history is derived data.
+func (s *server) openHistory() *tsdb.DB {
+	if s.cfg.TSDBDir != "" {
+		db, err := tsdb.Open(s.cfg.TSDBDir, tsdb.Options{})
+		if err == nil {
+			if rs := db.Recovery(); rs.TruncatedBytes > 0 {
+				s.cfg.Logf("jarvisd: tsdb recovery truncated %d torn bytes", rs.TruncatedBytes)
+			}
+			return db
+		}
+		s.cfg.Logf("jarvisd: tsdb unavailable (%v); metric history stays in memory", err)
+	}
+	db, _ := tsdb.Open("", tsdb.Options{MemoryPoints: windowPoints(s.cfg.SLOWindow, s.cfg.TSInterval)})
+	return db
 }
 
-func (t tsdbSource) EdgeBefore(cutoffNs int64) (telemetry.Snapshot, bool) {
-	p, ok := t.db.EdgeBefore(cutoffNs)
-	return pointSnapshot(p), ok
+// windowPoints is the in-memory store's cap: the points one SLO window
+// spans at the append cadence, plus the edge at or before the window
+// start and the newest point.
+func windowPoints(window, interval time.Duration) int {
+	return int((window+interval-1)/interval) + 2
 }
 
-func pointSnapshot(p tsdb.Point) telemetry.Snapshot {
-	return telemetry.Snapshot{
-		UnixNs:     p.TsNs,
-		Counters:   p.Counters,
-		Gauges:     p.Gauges,
-		Histograms: p.Histograms,
+// history returns the on-disk metric store, nil without -tsdb.
+func (s *server) history() *tsdb.DB {
+	if s.ts == nil || s.ts.Dir() == "" {
+		return nil
 	}
-}
-
-// initTSDB opens the metric history when configured. A store that cannot
-// open degrades to the tracker's in-memory ring rather than refusing to
-// start — metric history is derived data.
-func (s *server) initTSDB() {
-	if s.cfg.TSDBDir == "" {
-		return
-	}
-	db, err := tsdb.Open(s.cfg.TSDBDir, tsdb.Options{})
-	if err != nil {
-		s.cfg.Logf("jarvisd: tsdb unavailable (%v); SLO window falls back to the in-memory ring", err)
-		return
-	}
-	if rs := db.Recovery(); rs.TruncatedBytes > 0 {
-		s.cfg.Logf("jarvisd: tsdb recovery truncated %d torn bytes", rs.TruncatedBytes)
-	}
-	s.ts = db
-	s.slo.SetSource(tsdbSource{db})
+	return s.ts
 }
 
 // tsdbIndex is the parameterless /debug/tsdb body: store footprint plus
@@ -90,7 +82,7 @@ type tsdbQuery struct {
 // series are addressed by their flat snapshot name, URL-escaped, e.g.
 // series=jarvisd.requests%7Bop%3D%22recommend%22%7D.
 func (s *server) handleTSDB(w http.ResponseWriter, r *http.Request) {
-	if s.ts == nil {
+	if s.history() == nil {
 		s.writeError(w, r, http.StatusNotFound, "tsdb disabled (start with -tsdb DIR)")
 		return
 	}

@@ -2,10 +2,12 @@ package health
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
 	"jarvis/internal/telemetry"
+	"jarvis/internal/tsdb"
 )
 
 // Objective is one service-level objective scored over the tracker's
@@ -101,49 +103,34 @@ type ObjectiveStatus struct {
 // Report is the /debug/slo document.
 type Report struct {
 	WindowMs int64 `json:"windowMs"`
-	// SpanMs is how much of the window the retained samples actually cover.
+	// SpanMs is how much of the window the stored points actually cover;
+	// Samples counts them, from the window's prev edge through the newest.
 	SpanMs     int64             `json:"spanMs"`
 	Samples    int               `json:"samples"`
 	Objectives []ObjectiveStatus `json:"objectives"`
 }
 
-// sample is one retained snapshot.
-type sample struct {
-	at   time.Time
-	snap telemetry.Snapshot
-}
-
-// WindowSource supplies window-edge snapshots from a durable store (the
-// daemon's tsdb). EdgeBefore returns the newest stored snapshot at or
-// before the cutoff (unix nanoseconds), falling back to the oldest
-// retained one; Latest returns the newest. Both report ok=false only
-// when the store is empty. A tracker given a source scores its window
-// from the store — the same edges a /debug/tsdb range query resolves, so
-// the two computations agree by construction — instead of its in-memory
-// ring.
-type WindowSource interface {
-	EdgeBefore(cutoffNs int64) (telemetry.Snapshot, bool)
-	Latest() (telemetry.Snapshot, bool)
-}
-
-// Tracker scores objectives over a rolling window of telemetry
-// snapshots. Observe is driven by the daemon's health ticker; the window
-// is realized as the delta between the newest retained snapshot and the
-// oldest one still inside the window, using the histogram bucket deltas
-// for latency quantiles. Burn rates are published as gauges
-// (health.slo.burn.<name>) so alert rules can fire on them.
+// Tracker scores objectives over a rolling window of a metric store. The
+// window is [EdgeBefore(now−window), Latest] — the edges a /debug/tsdb
+// query over the same interval resolves, so the two agree by
+// construction. During warm-up the window starts at the oldest stored
+// point, and a single point is an empty window. Latency quantiles come
+// from histogram bucket deltas across the window. Observe is driven by
+// the daemon's health ticker and publishes burn rates as gauges
+// (health.slo.burn.<name>) so alert rules can fire on them; whoever owns
+// the store appends to it on its own cadence.
 type Tracker struct {
 	mu         sync.Mutex
 	window     time.Duration
 	objectives []Objective
-	samples    []sample
-	source     WindowSource
+	db         *tsdb.DB
 	burn       map[string]*telemetry.Gauge
 	now        func() time.Time
 }
 
-// NewTracker builds a tracker. Window <= 0 defaults to 10 minutes.
-func NewTracker(window time.Duration, objectives []Objective, reg *telemetry.Registry) (*Tracker, error) {
+// NewTracker builds a tracker over db, on disk or in memory. Window <= 0
+// defaults to 10 minutes.
+func NewTracker(window time.Duration, objectives []Objective, db *tsdb.DB, reg *telemetry.Registry) (*Tracker, error) {
 	if window <= 0 {
 		window = 10 * time.Minute
 	}
@@ -152,6 +139,7 @@ func NewTracker(window time.Duration, objectives []Objective, reg *telemetry.Reg
 	}
 	t := &Tracker{
 		window: window,
+		db:     db,
 		burn:   make(map[string]*telemetry.Gauge, len(objectives)),
 		now:    time.Now,
 	}
@@ -172,35 +160,12 @@ func (t *Tracker) SetNow(now func() time.Time) {
 	t.now = now
 }
 
-// SetSource points the tracker at a durable window store. From then on
-// the in-memory sample ring stops accumulating and every score reads its
-// window edges from the source.
-func (t *Tracker) SetSource(src WindowSource) {
+// Observe rescores the window and republishes every objective's
+// burn-rate gauge.
+func (t *Tracker) Observe() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.source = src
-	t.samples = nil
-}
-
-// Observe appends a snapshot, evicts samples older than the window, and
-// republishes every objective's burn-rate gauge. With a WindowSource set
-// the snapshot argument is ignored — the source (which the caller
-// appends to on its own cadence) is the single authority on window
-// edges.
-func (t *Tracker) Observe(snap telemetry.Snapshot) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.source == nil {
-		now := t.now()
-		t.samples = append(t.samples, sample{at: now, snap: snap})
-		// Keep one sample at-or-before the window edge so the delta spans the
-		// full window rather than starting at the first in-window sample.
-		cutoff := now.Add(-t.window)
-		for len(t.samples) >= 2 && !t.samples[1].at.After(cutoff) {
-			t.samples = t.samples[1:]
-		}
-	}
-	for _, st := range t.statusesLocked() {
+	for _, st := range t.scoreLocked().Objectives {
 		t.burn[st.Name].Set(st.BurnRate)
 	}
 }
@@ -212,54 +177,26 @@ func (t *Tracker) Window() time.Duration { return t.window }
 func (t *Tracker) Report() Report {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.scoreLocked()
+}
+
+// scoreLocked scores the objectives over the store's window. Caller
+// holds t.mu.
+func (t *Tracker) scoreLocked() Report {
+	prev, cur, n, _ := t.db.Window(t.now().Add(-t.window).UnixNano(), math.MaxInt64)
 	r := Report{
 		WindowMs:   t.window.Milliseconds(),
-		Samples:    len(t.samples),
-		Objectives: t.statusesLocked(),
+		SpanMs:     (cur.TsNs - prev.TsNs) / int64(time.Millisecond),
+		Samples:    n,
+		Objectives: make([]ObjectiveStatus, 0, len(t.objectives)),
 	}
-	switch {
-	case t.source != nil:
-		if cur, ok := t.source.Latest(); ok {
-			if prev, ok := t.source.EdgeBefore(t.now().Add(-t.window).UnixNano()); ok {
-				r.SpanMs = (cur.UnixNs - prev.UnixNs) / int64(time.Millisecond)
-			}
-		}
-	case len(t.samples) >= 2:
-		r.SpanMs = t.samples[len(t.samples)-1].at.Sub(t.samples[0].at).Milliseconds()
+	for _, o := range t.objectives {
+		r.Objectives = append(r.Objectives, scoreObjective(o, cur, prev))
 	}
 	return r
 }
 
-// statusesLocked scores the objectives against the retained window.
-// Caller holds t.mu.
-func (t *Tracker) statusesLocked() []ObjectiveStatus {
-	var cur, prev telemetry.Snapshot
-	switch {
-	case t.source != nil:
-		// Durable store: the window is [EdgeBefore(now−window), Latest] —
-		// the exact edges a /debug/tsdb query over the same interval
-		// resolves, so burn rates agree between the two by construction.
-		var ok bool
-		if cur, ok = t.source.Latest(); ok {
-			prev, _ = t.source.EdgeBefore(t.now().Add(-t.window).UnixNano())
-		}
-	case len(t.samples) == 0:
-		// No data yet: everything scores as an empty window.
-	case len(t.samples) == 1:
-		// Boot window: the whole first snapshot counts.
-		cur = t.samples[0].snap
-	default:
-		cur = t.samples[len(t.samples)-1].snap
-		prev = t.samples[0].snap
-	}
-	out := make([]ObjectiveStatus, 0, len(t.objectives))
-	for _, o := range t.objectives {
-		out = append(out, scoreObjective(o, cur, prev))
-	}
-	return out
-}
-
-func scoreObjective(o Objective, cur, prev telemetry.Snapshot) ObjectiveStatus {
+func scoreObjective(o Objective, cur, prev tsdb.Point) ObjectiveStatus {
 	st := ObjectiveStatus{Name: o.Name, Kind: o.kind(), Target: o.Target, Budget: o.Budget}
 	counterDelta := func(name string) int64 {
 		d := cur.Counters[name] - prev.Counters[name]

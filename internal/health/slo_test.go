@@ -1,27 +1,51 @@
 package health
 
 import (
-	"sync"
 	"testing"
 	"time"
 
 	"jarvis/internal/telemetry"
+	"jarvis/internal/tsdb"
 )
 
 // The burn-rate math is what the alerting and dashboards consume; these
-// tests drive synthetic snapshots through a tracker and check the SRE
-// identities: burn = badFraction / (1 − target), burn 1.0 = exactly at
-// budget, and eviction keeps the window rolling.
+// tests feed stamped snapshots into an in-memory store under a tracker
+// and check the SRE identities: burn = badFraction / (1 − target), burn
+// 1.0 = exactly at budget, and the window keeps rolling.
 
-func sloClock(start time.Time, step time.Duration) func() time.Time {
-	var mu sync.Mutex
-	t := start
-	return func() time.Time {
-		mu.Lock()
-		defer mu.Unlock()
-		t = t.Add(step)
-		return t
+// feed drives a tracker the way the daemon does: each observe advances
+// the clock one step, appends a registry snapshot stamped with it to an
+// in-memory store, and rescores the tracker over that store.
+type feed struct {
+	*Tracker
+	db   *tsdb.DB
+	reg  *telemetry.Registry
+	now  time.Time
+	step time.Duration
+}
+
+func newFeed(window, step time.Duration, objectives []Objective, reg *telemetry.Registry) (*feed, error) {
+	db, err := tsdb.Open("", tsdb.Options{})
+	if err != nil {
+		return nil, err
 	}
+	tr, err := NewTracker(window, objectives, db, reg)
+	if err != nil {
+		return nil, err
+	}
+	f := &feed{Tracker: tr, db: db, reg: reg, now: time.Unix(1700000000, 0), step: step}
+	tr.SetNow(func() time.Time { return f.now })
+	return f, nil
+}
+
+func (f *feed) observe() {
+	f.now = f.now.Add(f.step)
+	s := f.reg.Snapshot()
+	s.UnixNs = f.now.UnixNano()
+	if err := f.db.Append(tsdb.FromSnapshot(s)); err != nil {
+		panic(err)
+	}
+	f.Observe()
 }
 
 func statusByName(t *testing.T, r Report, name string) ObjectiveStatus {
@@ -38,19 +62,18 @@ func statusByName(t *testing.T, r Report, name string) ObjectiveStatus {
 func TestRatioObjectiveBurnRate(t *testing.T) {
 	reg := telemetry.New(8)
 	obj := Objective{Name: "degraded", Bad: "bad", Total: "total", Target: 0.99}
-	tr, err := NewTracker(time.Minute, []Objective{obj}, reg)
+	tr, err := newFeed(time.Minute, time.Second, []Objective{obj}, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.SetNow(sloClock(time.Unix(1700000000, 0), time.Second))
 
 	bad, total := reg.Counter("bad"), reg.Counter("total")
 	total.Add(1000)
-	tr.Observe(reg.Snapshot())
+	tr.observe()
 	// Window: +2 bad / +1000 total → badFraction 0.002, budget 0.01 → burn 0.2.
 	bad.Add(2)
 	total.Add(1000)
-	tr.Observe(reg.Snapshot())
+	tr.observe()
 
 	st := statusByName(t, tr.Report(), "degraded")
 	if st.Bad != 2 || st.Total != 1000 {
@@ -69,7 +92,7 @@ func TestRatioObjectiveBurnRate(t *testing.T) {
 	// Exactly at budget: +10 bad / +1000 total → burn 1.0, still met.
 	bad.Add(10)
 	total.Add(1000)
-	tr.Observe(reg.Snapshot())
+	tr.observe()
 	// The window now spans both deltas: 12/2000 → 0.006/0.01 = 0.6... use a
 	// fresh tracker assertion instead: burn is monotone in badFraction.
 	st = statusByName(t, tr.Report(), "degraded")
@@ -80,7 +103,7 @@ func TestRatioObjectiveBurnRate(t *testing.T) {
 	// Blow the budget: +100 bad / +100 total.
 	bad.Add(100)
 	total.Add(100)
-	tr.Observe(reg.Snapshot())
+	tr.observe()
 	st = statusByName(t, tr.Report(), "degraded")
 	if st.Met || st.BurnRate <= 1 {
 		t.Fatalf("burn = %v met=%v, want out of SLO", st.BurnRate, st.Met)
@@ -90,17 +113,16 @@ func TestRatioObjectiveBurnRate(t *testing.T) {
 func TestLatencyObjective(t *testing.T) {
 	reg := telemetry.New(8)
 	obj := Objective{Name: "p99", Histogram: "lat", ThresholdNs: 10_000_000, Target: 0.99}
-	tr, err := NewTracker(time.Minute, []Objective{obj}, reg)
+	tr, err := newFeed(time.Minute, time.Second, []Objective{obj}, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.SetNow(sloClock(time.Unix(1700000000, 0), time.Second))
 
 	h := reg.Histogram("lat")
 	for i := 0; i < 1000; i++ {
 		h.ObserveNs(1000)
 	}
-	tr.Observe(reg.Snapshot())
+	tr.observe()
 	st := statusByName(t, tr.Report(), "p99")
 	if !st.Met || st.Bad != 0 {
 		t.Fatalf("all-fast window: %+v", st)
@@ -114,7 +136,7 @@ func TestLatencyObjective(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		h.ObserveNs(100_000_000)
 	}
-	tr.Observe(reg.Snapshot())
+	tr.observe()
 	st = statusByName(t, tr.Report(), "p99")
 	if st.Total != 1000 {
 		t.Fatalf("windowed total = %d, want 1000 (old epoch leaked in)", st.Total)
@@ -130,22 +152,21 @@ func TestLatencyObjective(t *testing.T) {
 func TestBudgetObjective(t *testing.T) {
 	reg := telemetry.New(8)
 	obj := Objective{Name: "violations", Counter: "unsafe", Budget: 5}
-	tr, err := NewTracker(time.Minute, []Objective{obj}, reg)
+	tr, err := newFeed(time.Minute, time.Second, []Objective{obj}, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.SetNow(sloClock(time.Unix(1700000000, 0), time.Second))
 
 	c := reg.Counter("unsafe")
-	tr.Observe(reg.Snapshot())
+	tr.observe()
 	c.Add(2)
-	tr.Observe(reg.Snapshot())
+	tr.observe()
 	st := statusByName(t, tr.Report(), "violations")
 	if st.BurnRate != 0.4 || !st.Met {
 		t.Fatalf("2/5 budget: %+v", st)
 	}
 	c.Add(10)
-	tr.Observe(reg.Snapshot())
+	tr.observe()
 	st = statusByName(t, tr.Report(), "violations")
 	if st.Met || st.BurnRate <= 1 {
 		t.Fatalf("12/5 budget: %+v", st)
@@ -155,18 +176,17 @@ func TestBudgetObjective(t *testing.T) {
 func TestWindowEviction(t *testing.T) {
 	reg := telemetry.New(8)
 	obj := Objective{Name: "violations", Counter: "unsafe", Budget: 5}
-	tr, err := NewTracker(10*time.Second, []Objective{obj}, reg)
+	tr, err := newFeed(10*time.Second, 4*time.Second, []Objective{obj}, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.SetNow(sloClock(time.Unix(1700000000, 0), 4*time.Second))
 
 	c := reg.Counter("unsafe")
 	c.Add(100) // old sin, before the first sample
-	tr.Observe(reg.Snapshot())
+	tr.observe()
 	// 4s apart; the 10s window holds ~3 samples.
 	for i := 0; i < 5; i++ {
-		tr.Observe(reg.Snapshot())
+		tr.observe()
 	}
 	st := statusByName(t, tr.Report(), "violations")
 	if st.Bad != 0 {
@@ -190,7 +210,7 @@ func TestObjectiveValidation(t *testing.T) {
 		{Name: "x", Histogram: "h", ThresholdNs: 1, Target: 1}, // target 1 divides by zero
 	}
 	for i, o := range bad {
-		if _, err := NewTracker(time.Minute, []Objective{o}, telemetry.New(8)); err == nil {
+		if _, err := newFeed(time.Minute, time.Second, []Objective{o}, telemetry.New(8)); err == nil {
 			t.Errorf("case %d: NewTracker accepted %+v", i, o)
 		}
 	}

@@ -5,40 +5,31 @@ import (
 	"time"
 
 	"jarvis/internal/telemetry"
+	"jarvis/internal/tsdb"
 )
 
-// memSource is a WindowSource over an in-memory point list — the same
-// edge semantics the tsdb serves (newest at-or-before cutoff, oldest
-// fallback).
-type memSource struct {
-	snaps []telemetry.Snapshot
-}
-
-func (m *memSource) add(s telemetry.Snapshot) { m.snaps = append(m.snaps, s) }
-
-func (m *memSource) Latest() (telemetry.Snapshot, bool) {
-	if len(m.snaps) == 0 {
-		return telemetry.Snapshot{}, false
+// stampedStore is an in-memory store plus a helper that appends the
+// registry's snapshot stamped at a chosen instant.
+func stampedStore(t *testing.T, reg *telemetry.Registry) (*tsdb.DB, func(at time.Time)) {
+	t.Helper()
+	db, err := tsdb.Open("", tsdb.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return m.snaps[len(m.snaps)-1], true
-}
-
-func (m *memSource) EdgeBefore(cutoffNs int64) (telemetry.Snapshot, bool) {
-	if len(m.snaps) == 0 {
-		return telemetry.Snapshot{}, false
-	}
-	for i := len(m.snaps) - 1; i >= 0; i-- {
-		if m.snaps[i].UnixNs <= cutoffNs {
-			return m.snaps[i], true
+	return db, func(at time.Time) {
+		s := reg.Snapshot()
+		s.UnixNs = at.UnixNano()
+		if err := db.Append(tsdb.FromSnapshot(s)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	return m.snaps[0], true
 }
 
 func TestTrackerWithWindowSource(t *testing.T) {
 	reg := telemetry.New(8)
 	obj := Objective{Name: "degraded", Bad: "bad", Total: "total", Target: 0.99}
-	tr, err := NewTracker(time.Minute, []Objective{obj}, reg)
+	db, stamp := stampedStore(t, reg)
+	tr, err := NewTracker(time.Minute, []Objective{obj}, db, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,29 +37,22 @@ func TestTrackerWithWindowSource(t *testing.T) {
 	now := base
 	tr.SetNow(func() time.Time { return now })
 
-	src := &memSource{}
-	tr.SetSource(src)
-
 	bad, total := reg.Counter("bad"), reg.Counter("total")
-	stamp := func(at time.Time) telemetry.Snapshot {
-		s := reg.Snapshot()
-		s.UnixNs = at.UnixNano()
-		return s
-	}
 
 	// t+0: baseline inside the window.
 	total.Add(1000)
-	src.add(stamp(base))
+	stamp(base)
 	// t+30s: +5 bad / +1000 total.
 	bad.Add(5)
 	total.Add(1000)
 	now = base.Add(30 * time.Second)
-	src.add(stamp(now))
-	tr.Observe(telemetry.Snapshot{}) // snap arg ignored with a source
+	stamp(now)
+	tr.Observe()
 
-	st := statusByName(t, tr.Report(), "degraded")
+	r := tr.Report()
+	st := statusByName(t, r, "degraded")
 	if st.Bad != 5 || st.Total != 1000 {
-		t.Fatalf("windowed bad/total = %d/%d, want 5/1000 (edges from the source)", st.Bad, st.Total)
+		t.Fatalf("windowed bad/total = %d/%d, want 5/1000 (edges from the store)", st.Bad, st.Total)
 	}
 	if st.BurnRate < 0.49 || st.BurnRate > 0.51 {
 		t.Fatalf("burn = %v, want 0.5", st.BurnRate)
@@ -76,43 +60,76 @@ func TestTrackerWithWindowSource(t *testing.T) {
 	if g := reg.Snapshot().Gauges["health.slo.burn.degraded"]; g < 0.49 || g > 0.51 {
 		t.Fatalf("burn gauge = %v, want 0.5", g)
 	}
+	if r.Samples != 2 {
+		t.Fatalf("Samples = %d, want 2 (t+0 and t+30s)", r.Samples)
+	}
 
 	// Advance past the window: the old baseline falls off and the newest
 	// at-or-before edge moves up.
 	now = base.Add(2 * time.Minute)
 	bad.Add(1)
 	total.Add(100)
-	src.add(stamp(now))
-	tr.Observe(telemetry.Snapshot{})
-	st = statusByName(t, tr.Report(), "degraded")
+	stamp(now)
+	tr.Observe()
+	r = tr.Report()
+	st = statusByName(t, r, "degraded")
 	// Edge before now-1m is the t+30s sample: window = +1 bad / +100 total.
 	if st.Bad != 1 || st.Total != 100 {
 		t.Fatalf("windowed bad/total after roll = %d/%d, want 1/100", st.Bad, st.Total)
 	}
 
-	// SpanMs reflects the source edges, not the (empty) ring.
-	if r := tr.Report(); r.SpanMs != (90 * time.Second).Milliseconds() {
+	// SpanMs and Samples reflect the store's edges: t+30s through t+2m.
+	if r.SpanMs != (90 * time.Second).Milliseconds() {
 		t.Fatalf("SpanMs = %d, want 90000", r.SpanMs)
+	}
+	if r.Samples != 2 {
+		t.Fatalf("Samples after roll = %d, want 2 (t+30s and t+2m)", r.Samples)
+	}
+	// A point inside the window counts too.
+	now = base.Add(150 * time.Second)
+	stamp(now)
+	if r = tr.Report(); r.Samples != 3 {
+		t.Fatalf("Samples = %d, want 3 (t+30s, t+2m, t+2m30s)", r.Samples)
 	}
 }
 
 func TestTrackerSourceSinglePointIsEmptyWindow(t *testing.T) {
 	reg := telemetry.New(8)
 	obj := Objective{Name: "b", Counter: "c", Budget: 10}
-	tr, err := NewTracker(time.Minute, []Objective{obj}, reg)
+	db, stamp := stampedStore(t, reg)
+	tr, err := NewTracker(time.Minute, []Objective{obj}, db, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := &memSource{}
-	tr.SetSource(src)
 	reg.Counter("c").Add(7)
-	s := reg.Snapshot()
-	s.UnixNs = time.Unix(1700000000, 0).UnixNano()
-	src.add(s)
+	stamp(time.Unix(1700000000, 0))
 	// One point: both edges resolve to it, so the window is empty — a
 	// freshly-started store never replays pre-history as burn.
-	st := statusByName(t, tr.Report(), "b")
+	r := tr.Report()
+	st := statusByName(t, r, "b")
 	if st.Bad != 0 || st.BurnRate != 0 {
 		t.Fatalf("single-point window scored bad=%d burn=%v, want empty", st.Bad, st.BurnRate)
+	}
+	if r.Samples != 1 || r.SpanMs != 0 {
+		t.Fatalf("single-point window: samples=%d span=%dms, want 1 and 0", r.Samples, r.SpanMs)
+	}
+}
+
+// TestTrackerEmptyStore: before the first point every objective scores
+// as an empty window.
+func TestTrackerEmptyStore(t *testing.T) {
+	reg := telemetry.New(8)
+	db, _ := stampedStore(t, reg)
+	tr, err := NewTracker(time.Minute, []Objective{{Name: "b", Counter: "c", Budget: 10}}, db, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Observe()
+	r := tr.Report()
+	if st := statusByName(t, r, "b"); st.Bad != 0 || st.BurnRate != 0 || !st.Met {
+		t.Fatalf("empty store scored %+v", st)
+	}
+	if r.Samples != 0 || r.SpanMs != 0 {
+		t.Fatalf("empty store: samples=%d span=%dms, want 0 and 0", r.Samples, r.SpanMs)
 	}
 }

@@ -13,12 +13,13 @@ import (
 //   - prev = the newest point at or before fromNs, falling back to the
 //     oldest retained point when none precedes fromNs.
 //
-// That prev fallback is deliberate: it is exactly the "oldest retained
-// sample" edge the SLO tracker's in-memory ring used, so burn rates
-// recomputed from the store agree with the tracker during warm-up, when
-// history is shorter than the window. Counter deltas clamp at zero so a
-// daemon restart (counter reset) reads as a quiet window, not a negative
-// rate.
+// That prev fallback is deliberate: during warm-up, when history is
+// shorter than the window, the window starts at the oldest retained
+// point, and a store holding one point has an empty window. The SLO
+// tracker scores from these same edges (Window), so a burn rate
+// recomputed by a range query agrees with the tracker's. Counter deltas
+// clamp at zero so a daemon restart (counter reset) reads as a quiet
+// window, not a negative rate.
 
 // Sample is one scalar observation of a series.
 type Sample struct {
@@ -32,19 +33,20 @@ type Sample struct {
 func (db *DB) EdgeBefore(cutoffNs int64) (Point, bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.edgeBeforeLocked(cutoffNs)
+	if i := db.edgeLocked(cutoffNs); i >= 0 {
+		return db.points[i], true
+	}
+	return Point{}, false
 }
 
-func (db *DB) edgeBeforeLocked(cutoffNs int64) (Point, bool) {
+// edgeLocked is EdgeBefore's index, -1 when the store is empty.
+func (db *DB) edgeLocked(cutoffNs int64) int {
 	if len(db.points) == 0 {
-		return Point{}, false
+		return -1
 	}
 	// First index with TsNs > cutoff; the point before it is the edge.
 	i := sort.Search(len(db.points), func(i int) bool { return db.points[i].TsNs > cutoffNs })
-	if i == 0 {
-		return db.points[0], true
-	}
-	return db.points[i-1], true
+	return max(i-1, 0)
 }
 
 // Latest returns the newest point.
@@ -57,16 +59,23 @@ func (db *DB) Latest() (Point, bool) {
 	return db.points[len(db.points)-1], true
 }
 
-// edges resolves the window's (prev, cur) pair.
-func (db *DB) edges(fromNs, toNs int64) (prev, cur Point, ok bool) {
+// Window resolves [fromNs, toNs] to its (prev, cur) edge pair, read under
+// one lock, and counts the retained points from prev through cur. ok is
+// false when the store is empty.
+func (db *DB) Window(fromNs, toNs int64) (prev, cur Point, points int, ok bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	cur, ok = db.edgeBeforeLocked(toNs)
-	if !ok {
-		return Point{}, Point{}, false
+	i, j := db.edgeLocked(fromNs), db.edgeLocked(toNs)
+	if j < 0 {
+		return Point{}, Point{}, 0, false
 	}
-	prev, _ = db.edgeBeforeLocked(fromNs)
-	return prev, cur, true
+	return db.points[i], db.points[j], j - i + 1, true
+}
+
+// edges resolves the window's (prev, cur) pair.
+func (db *DB) edges(fromNs, toNs int64) (prev, cur Point, ok bool) {
+	prev, cur, _, ok = db.Window(fromNs, toNs)
+	return prev, cur, ok
 }
 
 // lookupScalar finds a series by name in a point: counters first, then

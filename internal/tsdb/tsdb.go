@@ -1,21 +1,26 @@
 // Package tsdb is an embedded, per-daemon time-series store for telemetry
-// snapshots: an append-only log of delta-encoded metric samples with
-// WAL-style segment rotation, retention, and crash recovery, plus an
-// in-memory mirror the query side (range, rate, delta,
+// snapshots: a wal.Log of delta-encoded metric samples, plus an in-memory
+// copy of recent points that the query side (range, rate, delta,
 // quantile-over-time) serves from.
 //
 // The daemon appends one Point — every counter, gauge, and histogram in
-// the registry, labeled series included — every -ts-interval. That turns
-// the point-in-time /metrics scrape into durable history: SLO burn rates
-// re-read their windows from the store instead of bespoke in-memory
-// rings, `jarvisctl top` sparklines p99s from it, and a restart loses at
-// most the tail the crash tore.
+// the registry, labeled series included — every -ts-interval. The SLO
+// tracker scores its window from the store, `jarvisctl top` sparklines
+// p99s from it, and with a directory a restart loses at most the tail the
+// crash tore.
 //
-// # On-disk format
+// # Storage
 //
-// Records use the WAL's framing: [length u32 LE | crc32c(payload) u32 LE
-// | payload], Castagnoli CRC, appended to numbered segments
-// (00000001.tsw, ...). The payload is one sample:
+// Open(dir, ...) keeps the samples in a wal.Log named "tsw" (segments
+// 00000001.tsw, ...; metrics tsw.appends, tsw.segments, ...) opened with
+// SyncOnRotate. The log owns framing, checksums, rotation, retention,
+// directory syncs and torn-tail repair. Open("", ...) is an in-memory
+// store with no log: the same window and query code over the points
+// alone, bounded by Options.MemoryPoints.
+//
+// # Sample format
+//
+// One log record is one sample:
 //
 //	kind   u8      1 = full, 2 = delta
 //	ts     uvarint unix nanoseconds
@@ -27,55 +32,45 @@
 //	       counts) or as 8 raw float64 bits (gauges).
 //
 // A full record resets the decoder — dictionary and last-values — and
-// then lists every live series, so its deltas are absolute values. Every
-// segment opens with a full record, which makes each segment
-// independently decodable: retention can delete old segments without
-// orphaning the deltas in newer ones, and recovery after a crash
-// re-seeds from whatever segments survive. A delta record lists only the
-// series that changed since the previous record, so a quiet interval
-// costs a few dozen bytes, not a full snapshot.
+// then lists every live series, so its deltas are absolute values. The
+// store places its own segment seams (Log.Rotate) so that every segment
+// opens with a full record, which makes each segment independently
+// decodable: retention can delete old segments without orphaning the
+// deltas in newer ones. A delta record lists only the series that changed
+// since the previous record, so a quiet interval costs a few dozen bytes,
+// not a full snapshot. A failed append drops the delta baseline, so the
+// next record is full and never names an id the log did not receive.
 //
 // # Recovery
 //
-// Open scans segments oldest-first, rebuilding the in-memory point
-// mirror. Damage at the tail of the last segment (short header, short
-// payload, bad CRC) is a torn write from a crash: the segment is
-// truncated back to its last whole record and appending resumes. The
-// same damage in a sealed segment is ErrCorrupt. The first append after
+// wal.Open truncates a torn tail and reports damage in a sealed segment
+// as ErrCorrupt. Open then replays the log into the in-memory points. A
+// record that passes its checksum but does not decode is skipped, with
+// the deltas after it, up to the next full record. The first append after
 // Open always writes a full record, so a reopened log never extends a
 // baseline it did not verify.
 package tsdb
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"math"
 	"os"
-	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
-	"syscall"
 
 	"jarvis/internal/telemetry"
+	"jarvis/internal/wal"
 )
 
-const (
-	headerSize = 8
-	segSuffix  = ".tsw"
+// logName names the store's wal.Log: its segment suffix and metric prefix.
+const logName = "tsw"
 
-	// MaxRecordBytes bounds one sample's payload; recovery treats a larger
-	// length prefix as tail damage rather than allocating it.
-	MaxRecordBytes = 16 << 20
-)
+// MaxRecordBytes bounds one sample's payload: the log's record bound.
+const MaxRecordBytes = wal.MaxRecordBytes
 
 // ErrCorrupt reports structural damage in a sealed segment — damage a
 // torn tail write cannot explain.
-var ErrCorrupt = errors.New("tsdb: corrupt record in sealed region")
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+var ErrCorrupt = wal.ErrCorrupt
 
 // Point is one decoded sample: every series' value at one instant.
 type Point struct {
@@ -97,17 +92,17 @@ func FromSnapshot(s telemetry.Snapshot) Point {
 }
 
 // Options tunes a DB. The zero value is usable: 1 MiB segments, retain 8
-// sealed segments, mirror 4096 points in memory.
+// sealed segments, keep 4096 points in memory.
 type Options struct {
-	// SegmentBytes rotates the active segment once it exceeds this size
-	// (default 1 MiB).
+	// SegmentBytes starts a new segment before a sample whose payload
+	// would take the active one past this size (default 1 MiB).
 	SegmentBytes int64
 	// Retain caps sealed segments kept after rotation (default 8; <0
 	// keeps everything).
 	Retain int
-	// MemoryPoints caps the in-memory mirror the query side reads
-	// (default 4096; oldest evicted first). Disk retention and the memory
-	// ring are independent bounds.
+	// MemoryPoints caps the in-memory points the query side reads
+	// (default 4096; oldest evicted first). Disk retention and this cap
+	// are independent bounds; an in-memory store has only this one.
 	MemoryPoints int
 }
 
@@ -144,19 +139,14 @@ type Stats struct {
 // DB is one daemon's metric history. All methods are safe for concurrent
 // use.
 type DB struct {
-	dir  string
 	opts Options
+	log  *wal.Log // nil for an in-memory store
 
-	mu          sync.Mutex
-	f           *os.File
-	seq         uint64
-	size        int64
-	sealed      []uint64
-	sealedBytes int64
-	closed      bool
-	rec         RecoveryStats
+	mu     sync.Mutex
+	closed bool
+	rec    RecoveryStats
 
-	// points is the in-memory mirror, ascending by TsNs.
+	// points is the in-memory copy the queries read, ascending by TsNs.
 	points []Point
 
 	// enc is the delta baseline for the active segment; nil forces the
@@ -165,61 +155,49 @@ type DB struct {
 	scratch []byte
 }
 
-// Open creates dir if needed, recovers any existing history into the
-// in-memory mirror, and returns a DB ready to append.
+// Open returns a DB ready to append. With a directory it opens (creating
+// if needed) the store's log there and replays it into memory; with dir
+// "" the store lives in memory only.
 func Open(dir string, opts Options) (*DB, error) {
-	opts = opts.withDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	return open(dir, opts, nil)
+}
+
+// open is Open with the log's segment-file hook (fault injection).
+func open(dir string, opts Options, openFile func(string, int, os.FileMode) (wal.File, error)) (*DB, error) {
+	db := &DB{opts: opts.withDefaults()}
+	if dir == "" {
+		return db, nil
+	}
+	log, err := wal.Open(dir, wal.Options{
+		Name:   logName,
+		Policy: wal.SyncOnRotate,
+		// Append places every seam, so the log never rotates on its own.
+		SegmentBytes: math.MaxInt64,
+		Retain:       max(db.opts.Retain, 0),
+		OpenFile:     openFile,
+	})
+	if err != nil {
 		return nil, fmt.Errorf("tsdb: %w", err)
 	}
-	db := &DB{dir: dir, opts: opts}
-	segs, err := listSegments(dir)
+	dec, skipping := newDecoder(), false
+	err = log.Replay(func(payload []byte) error {
+		if skipping && (len(payload) == 0 || payload[0] != kindFull) {
+			return nil // a delta against a baseline that did not decode
+		}
+		p, err := dec.decode(payload)
+		if skipping = err != nil; !skipping {
+			db.appendPointLocked(p)
+			db.rec.Points++
+		}
+		return nil
+	})
 	if err != nil {
-		return nil, err
+		log.Close()
+		return nil, fmt.Errorf("tsdb: %w", err)
 	}
-	for i, seq := range segs {
-		last := i == len(segs)-1
-		good, total, err := db.scanSegment(seq)
-		if err != nil {
-			return nil, err
-		}
-		if !last {
-			db.sealedBytes += total
-		}
-		if good < total {
-			if !last {
-				return nil, fmt.Errorf("%w: segment %08d has %d damaged trailing bytes", ErrCorrupt, seq, total-good)
-			}
-			if err := os.Truncate(db.segPath(seq), good); err != nil {
-				return nil, fmt.Errorf("tsdb: truncate torn tail: %w", err)
-			}
-			db.rec.TruncatedBytes = total - good
-		}
-	}
-	db.rec.Segments = len(segs)
-	db.rec.Points = len(db.points)
-	switch len(segs) {
-	case 0:
-		if err := db.openSegment(1); err != nil {
-			return nil, err
-		}
-		db.rec.Segments = 1
-	default:
-		db.sealed = segs[:len(segs)-1]
-		seq := segs[len(segs)-1]
-		f, err := os.OpenFile(db.segPath(seq), os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("tsdb: reopen segment: %w", err)
-		}
-		st, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("tsdb: %w", err)
-		}
-		db.f, db.seq, db.size = f, seq, st.Size()
-	}
-	// enc stays nil: the first post-recovery append is a full record, so
-	// we never extend a baseline we did not verify.
+	rs := log.Recovery()
+	db.rec.Segments, db.rec.TruncatedBytes = rs.Segments, rs.TruncatedBytes
+	db.log = log
 	return db, nil
 }
 
@@ -228,6 +206,14 @@ func (db *DB) Recovery() RecoveryStats {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.rec
+}
+
+// Dir returns the store's log directory, "" for an in-memory store.
+func (db *DB) Dir() string {
+	if db.log == nil {
+		return ""
+	}
+	return db.log.Dir()
 }
 
 // Append stores one snapshot. Points must arrive in non-decreasing
@@ -242,52 +228,54 @@ func (db *DB) Append(p Point) error {
 	if n := len(db.points); n > 0 && p.TsNs < db.points[n-1].TsNs {
 		return nil
 	}
+	if db.log != nil {
+		if err := db.logLocked(p); err != nil {
+			// The encoder may hold ids the log never received.
+			db.enc = nil
+			return err
+		}
+	}
+	db.appendPointLocked(p)
+	return nil
+}
+
+// logLocked writes p as one record: a delta against enc, or a full record
+// when there is no baseline or p opens a new segment.
+func (db *DB) logLocked(p Point) error {
 	full := db.enc == nil
 	if full {
 		db.enc = newEncoder()
 	}
 	payload := encodePoint(db.scratch[:0], p, db.enc, full)
-	if len(payload) > MaxRecordBytes {
-		return fmt.Errorf("tsdb: sample of %d bytes exceeds MaxRecordBytes", len(payload))
-	}
-	if db.size > 0 && db.size+int64(headerSize+len(payload)) > db.opts.SegmentBytes {
-		if err := db.rotateLocked(); err != nil {
-			return err
+	if size := db.log.ActiveBytes(); size > 0 && size+int64(len(payload)) > db.opts.SegmentBytes {
+		if err := db.log.Rotate(); err != nil {
+			return fmt.Errorf("tsdb: %w", err)
 		}
-		// A new segment must open with a full record (fresh dictionary).
 		db.enc = newEncoder()
 		payload = encodePoint(payload[:0], p, db.enc, true)
 	}
 	db.scratch = payload[:0]
-	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	if _, err := db.f.Write(hdr[:]); err != nil {
-		return fmt.Errorf("tsdb: append: %w", err)
+	if err := db.log.Append(payload); err != nil {
+		return fmt.Errorf("tsdb: %w", err)
 	}
-	if _, err := db.f.Write(payload); err != nil {
-		return fmt.Errorf("tsdb: append: %w", err)
-	}
-	db.size += int64(headerSize + len(payload))
 	db.enc.observe(p)
-	db.appendPointLocked(p)
 	return nil
 }
 
-// Sync flushes the active segment to stable storage. The append path does
-// not fsync per sample — metric history is derived data; losing the last
-// interval to power loss is acceptable — so callers with stricter needs
-// (tests, clean shutdown) sync explicitly.
+// Sync flushes the log to stable storage. The append path does not fsync
+// per sample — metric history is derived data; losing the last interval
+// to power loss is acceptable — so callers with stricter needs (tests,
+// clean shutdown) sync explicitly.
 func (db *DB) Sync() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed {
+	if db.closed || db.log == nil {
 		return nil
 	}
-	return db.f.Sync()
+	return db.log.Sync()
 }
 
-// Close syncs and closes the active segment.
+// Close syncs and closes the log.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -295,21 +283,19 @@ func (db *DB) Close() error {
 		return nil
 	}
 	db.closed = true
-	if err := db.f.Sync(); err != nil {
-		db.f.Close()
-		return fmt.Errorf("tsdb: close: %w", err)
+	if db.log == nil {
+		return nil
 	}
-	return db.f.Close()
+	return db.log.Close()
 }
 
 // Stats reports the store's live footprint.
 func (db *DB) Stats() Stats {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	s := Stats{
-		Segments:  len(db.sealed) + 1,
-		SizeBytes: db.sealedBytes + db.size,
-		Points:    len(db.points),
+	s := Stats{Points: len(db.points)}
+	if db.log != nil {
+		s.Segments, s.SizeBytes = db.log.Segments(), db.log.SizeBytes()
 	}
 	if n := len(db.points); n > 0 {
 		s.OldestNs = db.points[0].TsNs
@@ -325,125 +311,4 @@ func (db *DB) appendPointLocked(p Point) {
 	if over := len(db.points) - db.opts.MemoryPoints; over > 0 {
 		db.points = append(db.points[:0], db.points[over:]...)
 	}
-}
-
-func (db *DB) rotateLocked() error {
-	if err := db.f.Sync(); err != nil {
-		return fmt.Errorf("tsdb: sync: %w", err)
-	}
-	if err := db.f.Close(); err != nil {
-		return fmt.Errorf("tsdb: seal segment: %w", err)
-	}
-	db.sealed = append(db.sealed, db.seq)
-	db.sealedBytes += db.size
-	if err := db.openSegment(db.seq + 1); err != nil {
-		return err
-	}
-	db.enc = nil // next record is full
-	if db.opts.Retain > 0 {
-		for len(db.sealed) > db.opts.Retain {
-			seq := db.sealed[0]
-			if st, err := os.Stat(db.segPath(seq)); err == nil {
-				db.sealedBytes -= st.Size()
-			}
-			if err := os.Remove(db.segPath(seq)); err != nil {
-				return fmt.Errorf("tsdb: retention: %w", err)
-			}
-			db.sealed = db.sealed[1:]
-		}
-		if err := syncDir(db.dir); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (db *DB) openSegment(seq uint64) error {
-	f, err := os.OpenFile(db.segPath(seq), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return fmt.Errorf("tsdb: create segment: %w", err)
-	}
-	if err := syncDir(db.dir); err != nil {
-		f.Close()
-		return err
-	}
-	db.f, db.seq, db.size = f, seq, 0
-	return nil
-}
-
-// scanSegment decodes one segment into the mirror, returning the offset
-// of the last whole record and the file size.
-func (db *DB) scanSegment(seq uint64) (good, total int64, err error) {
-	data, err := os.ReadFile(db.segPath(seq))
-	if err != nil {
-		return 0, 0, fmt.Errorf("tsdb: %w", err)
-	}
-	total = int64(len(data))
-	dec := newDecoder()
-	off := int64(0)
-	for {
-		rest := data[off:]
-		if len(rest) == 0 {
-			return off, total, nil
-		}
-		if len(rest) < headerSize {
-			return off, total, nil // torn header
-		}
-		n := int64(binary.LittleEndian.Uint32(rest[0:4]))
-		sum := binary.LittleEndian.Uint32(rest[4:8])
-		if n > MaxRecordBytes || int64(len(rest)) < headerSize+n {
-			return off, total, nil // impossible length or torn payload
-		}
-		payload := rest[headerSize : headerSize+n]
-		if crc32.Checksum(payload, castagnoli) != sum {
-			return off, total, nil // torn/corrupt record
-		}
-		p, derr := dec.decode(payload)
-		if derr != nil {
-			// Framing was intact but the payload grammar is not: treat like
-			// CRC damage at this offset.
-			return off, total, nil
-		}
-		db.appendPointLocked(p)
-		db.rec.Points++
-		off += headerSize + n
-	}
-}
-
-func (db *DB) segPath(seq uint64) string {
-	return filepath.Join(db.dir, fmt.Sprintf("%08d%s", seq, segSuffix))
-}
-
-func listSegments(dir string) ([]uint64, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("tsdb: %w", err)
-	}
-	var segs []uint64
-	for _, ent := range ents {
-		name := ent.Name()
-		if ent.IsDir() || !strings.HasSuffix(name, segSuffix) {
-			continue
-		}
-		seq, err := strconv.ParseUint(strings.TrimSuffix(name, segSuffix), 10, 64)
-		if err != nil {
-			continue
-		}
-		segs = append(segs, seq)
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
-	return segs, nil
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("tsdb: open dir: %w", err)
-	}
-	defer d.Close()
-	// Filesystems that cannot sync a directory handle are best-effort.
-	if err := d.Sync(); err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.ENOTSUP) {
-		return fmt.Errorf("tsdb: sync dir: %w", err)
-	}
-	return nil
 }

@@ -32,7 +32,7 @@ type Cursor struct {
 // the first record. An empty or missing directory yields a cursor whose
 // Next immediately returns io.EOF.
 func OpenCursor(dir string) (*Cursor, error) {
-	segs, err := listSegments(dir)
+	segs, err := listSegments(dir, segSuffix)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return &Cursor{dir: dir}, nil
@@ -53,7 +53,7 @@ func (c *Cursor) Next() ([]byte, error) {
 				return nil, io.EOF
 			}
 			seq := c.segs[c.i]
-			f, err := os.Open(segmentPath(c.dir, seq))
+			f, err := os.Open(segmentPath(c.dir, segSuffix, seq))
 			if err != nil {
 				return nil, fmt.Errorf("wal: cursor: %w", err)
 			}

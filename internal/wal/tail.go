@@ -79,7 +79,7 @@ func (t *Tail) Next() ([]byte, error) {
 		}
 		// Short or invalid frame at the current offset: consult the
 		// directory to decide between live tip, sealed segment, and reset.
-		segs, lerr := listSegments(t.dir)
+		segs, lerr := listSegments(t.dir, segSuffix)
 		if lerr != nil {
 			return nil, lerr
 		}
@@ -154,7 +154,7 @@ func (t *Tail) reset() {
 func (t *Tail) open() error {
 	seq := t.seq
 	if seq == 0 {
-		segs, err := listSegments(t.dir)
+		segs, err := listSegments(t.dir, segSuffix)
 		if err != nil {
 			if errors.Is(err, fs.ErrNotExist) {
 				return ErrNoRecord // directory not created yet
@@ -177,7 +177,7 @@ func (t *Tail) openSeq(seq uint64) error {
 		t.f.Close()
 		t.f = nil
 	}
-	f, err := os.Open(segmentPath(t.dir, seq))
+	f, err := os.Open(segmentPath(t.dir, segSuffix, seq))
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			// Raced a Reset between listing and open: re-arm.

@@ -23,6 +23,8 @@
 // sealed, and a new segment opens. Options.Retain caps how many sealed
 // segments survive rotation — 0 keeps everything until Reset, which is the
 // right setting when the log is truncated at checkpoint barriers.
+// Options.Name sets the suffix and the metric prefix, so another log (the
+// metric history) keeps its own files and counters.
 //
 // # Commit path
 //
@@ -70,6 +72,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"jarvis/internal/telemetry"
 )
 
 // SyncPolicy selects when committed data reaches stable storage.
@@ -93,7 +97,10 @@ const (
 	// it, so a flipped bit in the length field cannot wedge a restart.
 	MaxRecordBytes = 16 << 20
 
-	segSuffix = ".wal"
+	// defaultName names the daemon's journal: segments NNNNNNNN.wal,
+	// metrics wal.*. Cursor and Tail read logs of this name.
+	defaultName = "wal"
+	segSuffix   = "." + defaultName
 )
 
 // ErrCorrupt reports structural damage that recovery cannot attribute to a
@@ -133,6 +140,11 @@ type Options struct {
 	// OpenFile overrides how segment files open for writing (fault
 	// injection). Nil uses os.OpenFile.
 	OpenFile func(name string, flag int, perm os.FileMode) (File, error)
+	// Name names the log (default "wal"): segment files are
+	// NNNNNNNN.<Name> and its metrics <Name>.appends, <Name>.writes,
+	// <Name>.syncs, <Name>.segments and so on. It must be a valid metric
+	// name; logs of one name share their metrics.
+	Name string
 }
 
 func (o Options) withDefaults() Options {
@@ -141,6 +153,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Interval <= 0 {
 		o.Interval = 100 * time.Millisecond
+	}
+	if o.Name == "" {
+		o.Name = defaultName
 	}
 	return o
 }
@@ -161,6 +176,7 @@ type RecoveryStats struct {
 type Log struct {
 	dir  string
 	opts Options
+	m    *metrics
 
 	mu          sync.Mutex
 	f           File     // active segment
@@ -215,11 +231,14 @@ func (b *Batch) Reset() { b.frames, b.n = b.frames[:0], 0 }
 // Append.
 func Open(dir string, opts Options) (*Log, error) {
 	opts = opts.withDefaults()
+	if !telemetry.ValidMetricName(opts.Name) {
+		return nil, fmt.Errorf("wal: invalid log name %q", opts.Name)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	l := &Log{dir: dir, opts: opts}
-	segs, err := listSegments(dir)
+	l := &Log{dir: dir, opts: opts, m: newMetrics(opts.Name)}
+	segs, err := listSegments(dir, l.suffix())
 	if err != nil {
 		return nil, err
 	}
@@ -241,7 +260,7 @@ func Open(dir string, opts Options) (*Log, error) {
 				return nil, fmt.Errorf("wal: truncate torn tail: %w", err)
 			}
 			l.rec.TruncatedBytes = total - good
-			mTruncatedBytes.Add(total - good)
+			l.m.truncatedBytes.Add(total - good)
 		}
 	}
 	l.rec.Segments = len(segs)
@@ -266,8 +285,8 @@ func Open(dir string, opts Options) (*Log, error) {
 		l.f, l.seq, l.size = f, seq, st.Size()
 	}
 	l.lastSync = time.Now()
-	mRecoveredRecords.Add(int64(l.rec.Records))
-	mSegments.SetInt(int64(len(l.sealed) + 1))
+	l.m.recoveredRecords.Add(int64(l.rec.Records))
+	l.m.segments.SetInt(int64(len(l.sealed) + 1))
 	return l, nil
 }
 
@@ -295,6 +314,14 @@ func (l *Log) SizeBytes() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.sealedBytes + l.size
+}
+
+// ActiveBytes returns the bytes in the active segment, for a writer that
+// decides its own segment seams and calls Rotate.
+func (l *Log) ActiveBytes() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.size
 }
 
 // Replay streams every complete record, oldest first, to fn. It must run
@@ -358,8 +385,8 @@ func (l *Log) commitLocked(b *Batch) error {
 	}
 	l.size += int64(len(b.frames))
 	l.appended, l.dirty = true, true
-	mWrites.Inc()
-	mAppends.Add(int64(b.n))
+	l.m.writes.Inc()
+	l.m.appends.Add(int64(b.n))
 	switch l.opts.Policy {
 	case SyncEveryRecord:
 		return l.syncLocked()
@@ -422,7 +449,7 @@ func (l *Log) syncLocked() error {
 		return fmt.Errorf("wal: sync: %w", err)
 	}
 	l.lastSync, l.dirty = time.Now(), false
-	mSyncs.Inc()
+	l.m.syncs.Inc()
 	return nil
 }
 
@@ -448,7 +475,7 @@ func (l *Log) rotateLocked() error {
 	if err := l.openSegment(l.seq + 1); err != nil {
 		return err
 	}
-	mRotations.Inc()
+	l.m.rotations.Inc()
 	// Retention: drop the oldest sealed segments beyond the cap.
 	if l.opts.Retain > 0 {
 		for len(l.sealed) > l.opts.Retain {
@@ -460,13 +487,13 @@ func (l *Log) rotateLocked() error {
 				return fmt.Errorf("wal: retention: %w", err)
 			}
 			l.sealed = l.sealed[1:]
-			mRetired.Inc()
+			l.m.retired.Inc()
 		}
 		if err := syncDir(l.dir); err != nil {
 			return err
 		}
 	}
-	mSegments.SetInt(int64(len(l.sealed) + 1))
+	l.m.segments.SetInt(int64(len(l.sealed) + 1))
 	return nil
 }
 
@@ -494,8 +521,8 @@ func (l *Log) Reset() error {
 	if err := l.openSegment(next); err != nil {
 		return err
 	}
-	mResets.Inc()
-	mSegments.SetInt(1)
+	l.m.resets.Inc()
+	l.m.segments.SetInt(1)
 	return nil
 }
 
@@ -518,12 +545,15 @@ func (l *Log) Close() error {
 }
 
 func (l *Log) segPath(seq uint64) string {
-	return segmentPath(l.dir, seq)
+	return segmentPath(l.dir, l.suffix(), seq)
 }
 
-// segmentPath names segment seq inside dir.
-func segmentPath(dir string, seq uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("%08d%s", seq, segSuffix))
+// suffix is the log's segment file suffix, "." + Options.Name.
+func (l *Log) suffix() string { return "." + l.opts.Name }
+
+// segmentPath names segment seq of the log with the given suffix in dir.
+func segmentPath(dir, suffix string, seq uint64) string {
+	return filepath.Join(dir, fmt.Sprintf("%08d%s", seq, suffix))
 }
 
 // openFile opens a segment file for writing through the configured hook.
@@ -549,8 +579,9 @@ func (l *Log) openSegment(seq uint64) error {
 	return nil
 }
 
-// listSegments returns the segment numbers in dir, ascending.
-func listSegments(dir string) ([]uint64, error) {
+// listSegments returns the numbers of the segments in dir that carry
+// suffix, ascending.
+func listSegments(dir, suffix string) ([]uint64, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
@@ -558,10 +589,10 @@ func listSegments(dir string) ([]uint64, error) {
 	var segs []uint64
 	for _, ent := range ents {
 		name := ent.Name()
-		if ent.IsDir() || !strings.HasSuffix(name, segSuffix) {
+		if ent.IsDir() || !strings.HasSuffix(name, suffix) {
 			continue
 		}
-		seq, err := strconv.ParseUint(strings.TrimSuffix(name, segSuffix), 10, 64)
+		seq, err := strconv.ParseUint(strings.TrimSuffix(name, suffix), 10, 64)
 		if err != nil {
 			continue // foreign file; leave it alone
 		}
