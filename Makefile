@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race race-daemon race-core fmt check bench serve-bench stats top lint-metrics crash failover trace replay alerts fuzz
+.PHONY: build test vet race race-daemon race-core fmt check bench serve-smoke stats top lint-metrics crash failover trace replay alerts fuzz
 
 build:
 	$(GO) build ./...
@@ -83,25 +83,37 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzParseMessage -fuzztime $(FUZZTIME) ./internal/replica/
 
 # Measure the batched compute core and write BENCH_core.json, plus the
-# allocation-asserting micro-benchmarks of the root package.
+# allocation-asserting micro-benchmarks of the root package. The binary
+# is built, not `go run`, so it carries the VCS stamp the report's
+# revision field reads.
 bench:
-	$(GO) run ./cmd/jarvis bench
-	$(GO) test -run xxx -bench 'ForwardBatch|TrainBatchParallel|ReplaySampleInto|NNTrainBatch|NNForward$$|Table3ActionQuality' -benchmem .
-
-# Serving-path benchmark: spawn the legacy shape (JSON + DQN, compiled
-# tables off) and the fast shape (binary wire + tabular + compiled tables),
-# drive both with pipelined recommend load, and write BENCH_serve.json.
-# SERVE_N requests per scenario; SERVE_MIN_SPEEDUP > 0 turns the report
-# into a gate (CI uses 1.0 on tiny N; the real run clears 10x).
-SERVE_N ?= 20000
-SERVE_MIN_SPEEDUP ?= 0
-
-serve-bench:
 	@set -e; \
 	tmp=$$(mktemp -d); \
 	trap 'rm -rf $$tmp' EXIT; \
-	$(GO) build -o $$tmp/jarvisd ./cmd/jarvisd; \
-	$(GO) run ./cmd/jarvisload -jarvisd $$tmp/jarvisd -n $(SERVE_N) -min-speedup $(SERVE_MIN_SPEEDUP)
+	$(GO) build -o $$tmp/jarvis ./cmd/jarvis; \
+	$$tmp/jarvis bench
+	$(GO) test -run xxx -bench 'ForwardBatch|TrainBatchParallel|ReplaySampleInto|NNTrainBatch|NNForward$$|Table3ActionQuality' -benchmem .
+
+# Serving smoke: run the operator-shaped serving benchmark (servebench,
+# the harness behind BENCHMARK.json) briefly on its binary+compiled
+# workload and on the paper's JSON+DQN workload. servebench exits
+# non-zero on any failed correctness check; jq then requires both
+# reports correct and the binary+compiled recommend rate to at least
+# match JSON+DQN's. 10 s is the shortest valid run: the event p99 needs a
+# slice of at least 1000 events, and the hub sends 100 events/s.
+serve-smoke:
+	@set -e; \
+	dir=.bench_build/servebench; \
+	for w in home-mix json-dqn-mix; do \
+		bash servebench/run.sh --workload $$w --seconds 10; \
+	done; \
+	jq -e -s 'all(.[]; .correct)' $$dir/report-home-mix-seed1.json $$dir/report-json-dqn-mix-seed1.json >/dev/null \
+		|| { echo "serve-smoke: a report is not correct"; exit 1; }; \
+	fast=$$(jq '.end_to_end.rec_per_s.value' $$dir/report-home-mix-seed1.json); \
+	slow=$$(jq '.end_to_end.rec_per_s.value' $$dir/report-json-dqn-mix-seed1.json); \
+	echo "serve-smoke: home-mix $$fast recs/s, json-dqn-mix $$slow recs/s"; \
+	jq -en --argjson f "$$fast" --argjson s "$$slow" '$$f >= $$s' >/dev/null \
+		|| { echo "serve-smoke: home-mix recommends slower than json-dqn-mix"; exit 1; }
 
 # Observability smoke probe: boot a small daemon, then scrape /metrics
 # through `jarvisctl stats`, which exits non-zero on any non-200 answer.

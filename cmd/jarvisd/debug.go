@@ -216,7 +216,8 @@ type healthStatus struct {
 	TracesSampled int `json:"tracesSampled,omitempty"`
 	// CompiledPolicy reports the compiled-table serving cache: readiness,
 	// table shape, hit/miss/rebuild counters, and the staleness window of
-	// the last rebuild. Absent when the daemon runs with -compiled=false.
+	// the last rebuild. Absent when the policy refused to compile (the
+	// state space is too large for a table) and the agent serves.
 	CompiledPolicy *compiled.CacheStats `json:"compiledPolicy,omitempty"`
 	// Wire reports codec negotiation: connections that spoke the binary
 	// protocol vs JSON lines, plus the binary loop's coalesced requests

@@ -312,10 +312,6 @@ func TestDriftAlertRollsBackAndResolves(t *testing.T) {
 	cfg := durableConfig(dir)
 	cfg.ShadowEvery = 2 // one evaluation per 8 scripted events
 	cfg.HealthInterval = 25 * time.Millisecond
-	// The corruption below must be observable through RecommendDecision
-	// while it is being constructed; a compiled table would keep serving
-	// the stale pre-poison decisions until invalidated.
-	cfg.CompiledOff = true
 	cfg.AlertLogPath = filepath.Join(dir, "alerts.jsonl")
 	const rule = "policy-drift"
 	cfg.AlertRules = []health.Rule{{
@@ -374,6 +370,10 @@ func TestDriftAlertRollsBackAndResolves(t *testing.T) {
 			srv.mu.Unlock()
 			t.Fatalf("poison mini %d: %v", m, err)
 		}
+		// The poison writes the Q table behind the System's back, so it
+		// owes the compiled cache the invalidation every writer owes it;
+		// without it the table keeps serving the pre-poison decision.
+		srv.sys.CompiledPolicy().Invalidate()
 		d, err := srv.sys.RecommendDecision(recState, 600)
 		if err != nil {
 			srv.mu.Unlock()

@@ -13,9 +13,9 @@
 // Connections whose first byte is the wire magic (0xB7) are served the
 // length-prefixed binary codec instead — same ops, indices for names,
 // with buffered requests coalesced into batch-scored responses; anything
-// else falls through to the JSON loop, so old clients are untouched. By
-// default steady-state recommendations come from a compiled policy table
-// (-compiled=false forces the agent path).
+// else falls through to the JSON loop, so old clients are untouched.
+// Steady-state recommendations come from a compiled policy table when
+// the state space fits one, and from the agent otherwise.
 //
 // With -follow, the daemon starts as a hot standby instead: it streams the
 // primary's WAL (connections opening with the replication magic 0xB8),
@@ -68,7 +68,6 @@ func run(args []string) error {
 	learningDays := fs.Int("learning-days", 7, "simulated learning-phase length")
 	episodes := fs.Int("episodes", 60, "optimizer training episodes")
 	useDNN := fs.Bool("dnn", false, "train the deep Q network backend instead of the tabular default (checkpoints are backend-specific)")
-	compiledOn := fs.Bool("compiled", true, "serve steady-state recommendations from a compiled policy table (falls back to the agent when the state space is too large)")
 	ckpt := fs.String("checkpoint", "", "checkpoint base path: restore the newest valid generation on start, save a new one on shutdown (empty = disabled)")
 	ckptRetain := fs.Int("checkpoint-retain", 4, "checkpoint generations to keep on disk")
 	walDir := fs.String("wal", "", "write-ahead log directory: journal events and learning transitions, replay them after a crash (empty = disabled)")
@@ -137,7 +136,6 @@ func run(args []string) error {
 		LearningDays:        *learningDays,
 		Episodes:            *episodes,
 		UseDNN:              *useDNN,
-		CompiledOff:         !*compiledOn,
 		CheckpointPath:      *ckpt,
 		CheckpointRetain:    *ckptRetain,
 		WALDir:              *walDir,

@@ -40,14 +40,6 @@ type serverConfig struct {
 	// checkpoints record it and refuse to restore across a mismatch.
 	UseDNN bool
 
-	// Compiled enables the compiled-policy fast path: after training or
-	// restore, the greedy policy is distilled into a dense state×bucket
-	// decision table that serves steady-state recommendations without
-	// touching the agent. Oversized products (e.g. the per-minute DNN
-	// backend) refuse to compile and the daemon transparently keeps the
-	// agent path. Disabled by CompiledOff (the -compiled=false flag).
-	CompiledOff bool
-
 	// CheckpointPath, when non-empty, enables checkpoint/restore: startup
 	// restores the trained system from the newest usable generation
 	// instead of retraining, and the daemon re-checkpoints after training,
@@ -482,15 +474,15 @@ func newServer(cfg serverConfig) (*server, error) {
 	// Compile the serving policy after every startup mutation (restore,
 	// training, WAL replay) has landed — the table is built once here and
 	// then kept fresh by invalidation hooks on the learn/rollback paths.
-	if !cfg.CompiledOff {
-		if err := s.sys.EnableCompiledPolicy(&s.mu, compiled.Options{}); err != nil {
-			// Advisory: the daemon serves through the agent path either way.
-			cfg.Logf("jarvisd: compiled policy unavailable (%v); serving via agent", err)
-		} else {
-			st := s.sys.CompiledPolicy().Stats()
-			cfg.Logf("jarvisd: compiled policy ready (%d entries, %d distinct decisions, built in %dms)",
-				st.Entries, st.PaletteSize, st.BuildMs)
-		}
+	// Oversized products (e.g. the per-minute DNN backend) refuse to
+	// compile and the daemon keeps the agent path.
+	if err := s.sys.EnableCompiledPolicy(&s.mu, compiled.Options{}); err != nil {
+		// Advisory: the daemon serves through the agent path either way.
+		cfg.Logf("jarvisd: compiled policy unavailable (%v); serving via agent", err)
+	} else {
+		st := s.sys.CompiledPolicy().Stats()
+		cfg.Logf("jarvisd: compiled policy ready (%d entries, %d distinct decisions, built in %dms)",
+			st.Entries, st.PaletteSize, st.BuildMs)
 	}
 
 	// The health subsystem starts last so its first snapshot already sees

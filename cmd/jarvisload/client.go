@@ -15,39 +15,25 @@ import (
 // flags bundles the flag set so run() can parse test args without
 // touching the global FlagSet.
 type flags struct {
-	fs           *flag.FlagSet
-	daemon       *string
-	addr         *string
-	wire         *string
-	n            *int
-	conns        *int
-	batch        *int
-	warmup       *int
-	out          *string
-	minSpeedup   *float64
-	sloP99Us     *float64
-	learningDays *int
-	episodes     *int
-	timeout      *time.Duration
-	startTimeout *time.Duration
+	fs      *flag.FlagSet
+	addr    *string
+	wire    *string
+	n       *int
+	conns   *int
+	batch   *int
+	warmup  *int
+	timeout *time.Duration
 }
 
 func newFlagSet() *flags {
 	f := &flags{fs: flag.NewFlagSet("jarvisload", flag.ContinueOnError)}
-	f.daemon = f.fs.String("jarvisd", "", "path to a jarvisd binary to spawn for each scenario")
-	f.addr = f.fs.String("addr", "", "bench an already-running daemon at this address instead of spawning (comma-separated primary,standby list fails over in order)")
-	f.wire = f.fs.String("wire", "binary", "codec for -addr mode: binary | json")
-	f.n = f.fs.Int("n", 20000, "timed recommend requests per scenario")
+	f.addr = f.fs.String("addr", "127.0.0.1:7463", "daemon address, or a comma-separated primary,standby list that fails over in order")
+	f.wire = f.fs.String("wire", "binary", "codec: binary | json")
+	f.n = f.fs.Int("n", 20000, "timed recommend requests")
 	f.conns = f.fs.Int("conns", 4, "concurrent persistent connections")
 	f.batch = f.fs.Int("batch", 16, "binary-codec pipeline depth: recommends scored per round trip (JSON has no batching; it always runs lockstep)")
-	f.warmup = f.fs.Int("warmup", 200, "untimed warmup requests per scenario")
-	f.out = f.fs.String("out", "BENCH_serve.json", "report path")
-	f.minSpeedup = f.fs.Float64("min-speedup", 0, "fail unless binary+compiled beats json+dnn by this throughput multiple (0 = report only)")
-	f.sloP99Us = f.fs.Float64("slo-p99-us", 0, "SLO target: stamp slo_pass per scenario (p99 <= this many µs) into the report and fail when any scenario misses (0 = disabled)")
-	f.learningDays = f.fs.Int("learning-days", 2, "spawned daemon learning-phase length")
-	f.episodes = f.fs.Int("episodes", 2, "spawned daemon training episodes")
+	f.warmup = f.fs.Int("warmup", 200, "untimed warmup round trips")
 	f.timeout = f.fs.Duration("timeout", 10*time.Second, "per-request deadline")
-	f.startTimeout = f.fs.Duration("start-timeout", 5*time.Minute, "how long a spawned daemon may take to start serving")
 	return f
 }
 

@@ -1,25 +1,23 @@
-// Command jarvisload benchmarks the jarvisd serving path end to end and
-// writes BENCH_serve.json. It spawns two daemon configurations — the
-// legacy shape (JSON lines, DQN backend, compiled tables off) and the
-// fast shape (binary wire protocol, tabular backend, compiled policy
-// tables) — drives each with concurrent persistent-connection clients
-// issuing recommend requests, and reports p50/p99 latency plus
-// recommendations per second for both:
+// Command jarvisload drives a running jarvisd with recommend load. Each
+// of -conns persistent-connection clients issues recommend requests
+// over the chosen codec until -n have completed; the run then prints its
+// row — p50/p99 round-trip latency and recommendations per second,
+// stamped with the Go version, GOMAXPROCS, the time and the source
+// revision — as one line of JSON on stdout:
 //
-//	jarvisload -jarvisd ./bin/jarvisd -n 20000 -conns 4
-//	jarvisload -addr 127.0.0.1:7463 -wire binary   # bench a running daemon
+//	jarvisload -addr 127.0.0.1:7463 -wire binary -n 200000 -conns 4 -batch 16
+//	jarvisload -addr primary:7463,standby:7463   # fail over in order
 //
-// With -min-speedup the process exits non-zero unless the fast shape
-// clears that throughput multiple over the legacy shape — the CI gate
-// for the serving-path optimization work.
+// The operator-shaped serving benchmark (WAL on, a stated fsync policy,
+// a mix of events and recommends, every answer checked) is servebench;
+// jarvisload is the bare load generator for a daemon someone else runs.
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"os/exec"
 	"runtime"
 	"sort"
 	"sync"
@@ -36,16 +34,8 @@ func main() {
 	}
 }
 
-// scenario is one daemon shape under test.
-type scenario struct {
-	Name string
-	Wire string // "json" | "binary"
-	Args []string
-}
-
-// result is one row of BENCH_serve.json.
+// result is one measured run.
 type result struct {
-	Scenario string `json:"scenario"`
 	Wire     string `json:"wire"`
 	Requests int    `json:"requests"`
 	Conns    int    `json:"conns"`
@@ -57,178 +47,39 @@ type result struct {
 	P99Us      float64 `json:"p99_us"`
 	RecsPerSec float64 `json:"recs_per_sec"`
 	ElapsedMs  float64 `json:"elapsed_ms"`
-	// SLOP99Us/SLOPass record the -slo-p99-us gate: present only when a
-	// target was given, so the serve-bench trajectory doubles as an SLO
-	// regression gate.
-	SLOP99Us float64 `json:"slo_p99_us,omitempty"`
-	SLOPass  *bool   `json:"slo_pass,omitempty"`
 }
 
-// report is the BENCH_serve.json envelope, shaped like BENCH_core.json.
-// GeneratedAt and Revision order the serve-bench trajectory and tie each
-// artifact to the source that produced it.
+// report is the printed row: the result stamped with what ties it to the
+// machine and the source that produced it.
 type report struct {
-	GoVersion   string   `json:"go_version"`
-	GOMAXPROCS  int      `json:"gomaxprocs"`
-	GeneratedAt string   `json:"generated_at"`
-	Revision    string   `json:"revision,omitempty"`
-	Results     []result `json:"results"`
-	// Speedup is fast-shape throughput over legacy-shape throughput,
-	// present only when both scenarios ran.
-	Speedup float64 `json:"speedup,omitempty"`
+	GoVersion   string `json:"go_version"`
+	GOMAXPROCS  int    `json:"gomaxprocs"`
+	GeneratedAt string `json:"generated_at"`
+	Revision    string `json:"revision,omitempty"`
+	result
 }
 
-func run(args []string, out *os.File) error {
-	fs := newFlagSet()
-	if err := fs.fs.Parse(args); err != nil {
+func run(args []string, out io.Writer) error {
+	cfg := newFlagSet()
+	if err := cfg.fs.Parse(args); err != nil {
 		return err
 	}
-	cfg := fs
-
-	rep := report{
+	r, err := benchAddr(splitAddrs(*cfg.addr), *cfg.wire, *cfg.n, *cfg.conns, *cfg.batch, *cfg.warmup, *cfg.timeout)
+	if err != nil {
+		return err
+	}
+	data, err := json.Marshal(report{
 		GoVersion:   runtime.Version(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		Revision:    version.Revision(),
-	}
-
-	if *cfg.addr != "" {
-		// Bench a daemon someone else is running; no spawning.
-		r, err := benchAddr(splitAddrs(*cfg.addr), *cfg.wire, *cfg.n, *cfg.conns, *cfg.batch, *cfg.warmup, *cfg.timeout)
-		if err != nil {
-			return err
-		}
-		r.Scenario = "external"
-		rep.Results = append(rep.Results, r)
-		return writeReport(&rep, *cfg.out, out, 0, *cfg.sloP99Us)
-	}
-
-	if *cfg.daemon == "" {
-		return fmt.Errorf("need -jarvisd <binary> (or -addr to bench a running daemon)")
-	}
-	common := []string{
-		"-learning-days", fmt.Sprint(*cfg.learningDays),
-		"-episodes", fmt.Sprint(*cfg.episodes),
-		"-debug-addr", "", // the bench drives the TCP protocol only
-	}
-	scenarios := []scenario{
-		{
-			Name: "json+dnn",
-			Wire: "json",
-			Args: append([]string{"-dnn", "-compiled=false"}, common...),
-		},
-		{
-			Name: "binary+compiled",
-			Wire: "binary",
-			Args: common,
-		},
-	}
-	for _, sc := range scenarios {
-		fmt.Fprintf(out, "jarvisload: starting %s daemon...\n", sc.Name)
-		addr, stop, err := spawnDaemon(*cfg.daemon, sc.Args, *cfg.startTimeout)
-		if err != nil {
-			return fmt.Errorf("%s: %w", sc.Name, err)
-		}
-		batch := 1
-		if sc.Wire == "binary" {
-			batch = *cfg.batch
-		}
-		r, err := benchAddr([]string{addr}, sc.Wire, *cfg.n, *cfg.conns, batch, *cfg.warmup, *cfg.timeout)
-		stop()
-		if err != nil {
-			return fmt.Errorf("%s: %w", sc.Name, err)
-		}
-		r.Scenario = sc.Name
-		rep.Results = append(rep.Results, r)
-		fmt.Fprintf(out, "%-16s %8.0f recs/sec  p50 %7.1fµs  p99 %7.1fµs\n",
-			sc.Name, r.RecsPerSec, r.P50Us, r.P99Us)
-	}
-	return writeReport(&rep, *cfg.out, out, *cfg.minSpeedup, *cfg.sloP99Us)
-}
-
-// writeReport computes the speedup, stamps the SLO verdicts, persists the
-// envelope, and enforces -min-speedup / -slo-p99-us. The file is written
-// before any gate fires so a failing run still leaves the evidence.
-func writeReport(rep *report, path string, out *os.File, minSpeedup, sloP99Us float64) error {
-	if len(rep.Results) == 2 && rep.Results[0].RecsPerSec > 0 {
-		rep.Speedup = rep.Results[1].RecsPerSec / rep.Results[0].RecsPerSec
-		fmt.Fprintf(out, "speedup: %.1fx\n", rep.Speedup)
-	}
-	sloMisses := 0
-	if sloP99Us > 0 {
-		for i := range rep.Results {
-			r := &rep.Results[i]
-			pass := r.P99Us <= sloP99Us
-			r.SLOP99Us = sloP99Us
-			r.SLOPass = &pass
-			if !pass {
-				sloMisses++
-				fmt.Fprintf(out, "%s: p99 %.1fµs exceeds SLO target %.1fµs\n", r.Scenario, r.P99Us, sloP99Us)
-			}
-		}
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
+		result:      r,
+	})
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "wrote %s\n", path)
-	if minSpeedup > 0 && rep.Speedup < minSpeedup {
-		return fmt.Errorf("speedup %.2fx below required %.2fx", rep.Speedup, minSpeedup)
-	}
-	if sloMisses > 0 {
-		return fmt.Errorf("%d scenario(s) missed the p99 SLO target of %.1fµs", sloMisses, sloP99Us)
-	}
-	return nil
-}
-
-// spawnDaemon launches a jarvisd binary on an ephemeral port and blocks
-// until its "listening on" banner names the address. stop terminates the
-// daemon and reaps it.
-func spawnDaemon(bin string, extra []string, startTimeout time.Duration) (addr string, stop func(), err error) {
-	args := append([]string{"-addr", "127.0.0.1:0"}, extra...)
-	cmd := exec.Command(bin, args...)
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		return "", nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return "", nil, err
-	}
-	addrCh := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			line := sc.Text()
-			var a string
-			if n, _ := fmt.Sscanf(line, "jarvisd: listening on %s", &a); n == 1 {
-				select {
-				case addrCh <- a:
-				default:
-				}
-			}
-		}
-	}()
-	stop = func() {
-		_ = cmd.Process.Signal(os.Interrupt)
-		done := make(chan struct{})
-		go func() { _ = cmd.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			_ = cmd.Process.Kill()
-			<-done
-		}
-	}
-	select {
-	case addr = <-addrCh:
-		return addr, stop, nil
-	case <-time.After(startTimeout):
-		stop()
-		return "", nil, fmt.Errorf("daemon did not report a listen address within %s (training still running? raise -start-timeout)", startTimeout)
-	}
+	_, err = fmt.Fprintf(out, "%s\n", data)
+	return err
 }
 
 // benchAddr drives addr with conns persistent clients until n recommend

@@ -2,10 +2,9 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"net"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -112,81 +111,25 @@ func TestBenchAddrBothCodecs(t *testing.T) {
 	}
 }
 
-// TestExternalAddrModeWritesReport drives run() end to end in -addr mode
-// and checks the BENCH_serve.json envelope.
+// TestExternalAddrModeWritesReport drives run() end to end against a
+// daemon address and checks the stamped JSON row it prints.
 func TestExternalAddrModeWritesReport(t *testing.T) {
 	addr := fakeRecommendDaemon(t)
-	out := filepath.Join(t.TempDir(), "BENCH_serve.json")
-	err := run([]string{"-addr", addr, "-n", "50", "-conns", "2", "-batch", "1", "-warmup", "5", "-out", out}, os.Stdout)
+	var out bytes.Buffer
+	err := run([]string{"-addr", addr, "-n", "50", "-conns", "2", "-batch", "1", "-warmup", "5"}, &out)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatalf("report missing: %v", err)
-	}
 	var rep report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("bad report: %v", err)
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatalf("stdout is not one report: %v\n%s", err, out.String())
 	}
-	if len(rep.Results) != 1 || rep.Results[0].Requests != 50 || rep.Results[0].Wire != "binary" {
+	if rep.Requests != 50 || rep.Wire != "binary" || rep.GOMAXPROCS < 1 || rep.GoVersion == "" {
 		t.Fatalf("report: %+v", rep)
 	}
 	// The trajectory stamp: generated_at must be a parseable RFC3339
 	// instant (revision is empty in test builds, which carry no VCS info).
 	if _, err := time.Parse(time.RFC3339, rep.GeneratedAt); err != nil {
 		t.Errorf("generated_at %q does not parse: %v", rep.GeneratedAt, err)
-	}
-}
-
-// TestSLOP99Gate drives -addr mode with -slo-p99-us at both extremes: a
-// generous target stamps slo_pass=true, an impossible one stamps false
-// AND fails the run — but only after the report is on disk.
-func TestSLOP99Gate(t *testing.T) {
-	addr := fakeRecommendDaemon(t)
-	readReport := func(path string) report {
-		t.Helper()
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("report missing: %v", err)
-		}
-		var rep report
-		if err := json.Unmarshal(data, &rep); err != nil {
-			t.Fatalf("bad report: %v", err)
-		}
-		return rep
-	}
-	base := []string{"-addr", addr, "-n", "50", "-conns", "2", "-batch", "1", "-warmup", "5"}
-
-	pass := filepath.Join(t.TempDir(), "pass.json")
-	if err := run(append(base, "-slo-p99-us", "1e9", "-out", pass), os.Stdout); err != nil {
-		t.Fatalf("generous SLO failed the run: %v", err)
-	}
-	rep := readReport(pass)
-	if r := rep.Results[0]; r.SLOPass == nil || !*r.SLOPass || r.SLOP99Us != 1e9 {
-		t.Fatalf("pass row: %+v", rep.Results[0])
-	}
-
-	fail := filepath.Join(t.TempDir(), "fail.json")
-	if err := run(append(base, "-slo-p99-us", "0.0001", "-out", fail), os.Stdout); err == nil {
-		t.Fatal("impossible SLO target did not fail the run")
-	}
-	rep = readReport(fail) // the gate must not suppress the report file
-	if r := rep.Results[0]; r.SLOPass == nil || *r.SLOPass {
-		t.Fatalf("fail row: %+v", rep.Results[0])
-	}
-
-	plain := filepath.Join(t.TempDir(), "plain.json")
-	if err := run(append(base, "-out", plain), os.Stdout); err != nil {
-		t.Fatal(err)
-	}
-	if r := readReport(plain).Results[0]; r.SLOPass != nil || r.SLOP99Us != 0 {
-		t.Fatalf("slo fields stamped without a target: %+v", r)
-	}
-}
-
-func TestRunRejectsMissingDaemon(t *testing.T) {
-	if err := run(nil, os.Stdout); err == nil {
-		t.Error("no -jarvisd and no -addr should error")
 	}
 }

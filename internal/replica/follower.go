@@ -2,13 +2,13 @@ package replica
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
+
+	"jarvis/internal/wire"
 )
 
 // ErrStalled reports that the primary went silent for longer than the
@@ -176,14 +176,14 @@ func (f *Follower) stream(conn net.Conn, stop <-chan struct{}, silence *time.Tim
 	f.mu.Unlock()
 
 	br := bufio.NewReaderSize(conn, 64<<10)
-	buf := make([]byte, 0, 4<<10)
+	rd := wire.NewReaderSize(br, MaxFrame)
 	for {
-		payload, err := f.readFrame(conn, br, &buf, stop, silence)
+		payload, err := f.readFrame(conn, br, rd, stop, silence)
 		if err != nil {
 			if errors.Is(err, errStopped) {
 				// Drain the shipped tail already sitting in the buffer
 				// before acknowledging the stop.
-				if derr := f.drainBuffered(br, &buf); derr != nil {
+				if derr := f.drainBuffered(rd); derr != nil {
 					return derr
 				}
 			}
@@ -197,12 +197,12 @@ func (f *Follower) stream(conn net.Conn, stop <-chan struct{}, silence *time.Tim
 }
 
 // readFrame blocks for one frame while watching stop and the silence
-// budget. The header wait uses short restartable peeks (Peek never
-// consumes, so a deadline there is safe to retry); once a header is seen
-// the payload is read with the remaining silence budget as its deadline —
-// a primary that dies mid-frame is a stalled primary.
-func (f *Follower) readFrame(conn net.Conn, br *bufio.Reader, buf *[]byte, stop <-chan struct{}, silence *time.Time) ([]byte, error) {
-	var hdr []byte
+// budget. The header wait uses short restartable peeks on br, the buffer
+// rd reads from (Peek never consumes, so a deadline there is safe to
+// retry); once a header is seen the frame is read with the remaining
+// silence budget as its deadline — a primary that dies mid-frame is a
+// stalled primary.
+func (f *Follower) readFrame(conn net.Conn, br *bufio.Reader, rd *wire.Reader, stop <-chan struct{}, silence *time.Time) ([]byte, error) {
 	for {
 		select {
 		case <-stop:
@@ -215,9 +215,8 @@ func (f *Follower) readFrame(conn net.Conn, br *bufio.Reader, buf *[]byte, stop 
 		if err := conn.SetReadDeadline(time.Now().Add(250 * time.Millisecond)); err != nil {
 			return nil, err
 		}
-		h, err := br.Peek(4)
+		_, err := br.Peek(4)
 		if err == nil {
-			hdr = h
 			break
 		}
 		var nerr net.Error
@@ -226,21 +225,11 @@ func (f *Follower) readFrame(conn net.Conn, br *bufio.Reader, buf *[]byte, stop 
 		}
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr)
-	if n > MaxFrame {
-		return nil, fmt.Errorf("replica: frame length %d exceeds cap %d", n, MaxFrame)
-	}
 	if err := conn.SetReadDeadline(*silence); err != nil {
 		return nil, err
 	}
-	if _, err := br.Discard(4); err != nil {
-		return nil, err
-	}
-	if cap(*buf) < int(n) {
-		*buf = make([]byte, n)
-	}
-	payload := (*buf)[:n]
-	if _, err := io.ReadFull(br, payload); err != nil {
+	payload, err := rd.ReadFrame()
+	if err != nil {
 		var nerr net.Error
 		if errors.As(err, &nerr) && nerr.Timeout() {
 			return nil, ErrStalled
@@ -251,29 +240,12 @@ func (f *Follower) readFrame(conn net.Conn, br *bufio.Reader, buf *[]byte, stop 
 }
 
 // drainBuffered applies every frame already complete in the buffer — the
-// records the primary handed over before the stop. No further reads touch
-// the connection.
-func (f *Follower) drainBuffered(br *bufio.Reader, buf *[]byte) error {
+// records the primary handed over before the stop — and stops quietly at
+// the first one it cannot read. No further reads touch the connection.
+func (f *Follower) drainBuffered(rd *wire.Reader) error {
 	for {
-		if br.Buffered() < 4 {
-			return nil
-		}
-		hdr, err := br.Peek(4)
-		if err != nil {
-			return nil
-		}
-		n := int(binary.LittleEndian.Uint32(hdr))
-		if n > MaxFrame || br.Buffered() < 4+n {
-			return nil
-		}
-		if _, err := br.Discard(4); err != nil {
-			return nil
-		}
-		if cap(*buf) < n {
-			*buf = make([]byte, n)
-		}
-		payload := (*buf)[:n]
-		if _, err := io.ReadFull(br, payload); err != nil {
+		payload, ok, err := rd.TryReadFrame()
+		if err != nil || !ok {
 			return nil
 		}
 		mTailDrained.Inc()

@@ -31,6 +31,8 @@ package replica
 import (
 	"encoding/binary"
 	"fmt"
+
+	"jarvis/internal/wire"
 )
 
 const (
@@ -110,19 +112,13 @@ func parseCounters(b []byte) Counters {
 	}
 }
 
-// frame appends a length prefix and payload to dst.
-func frame(dst, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	return append(dst, payload...)
-}
-
 // AppendHello appends the follower's framed hello (sent after the two raw
 // magic bytes): protocol version plus its applied position.
 func AppendHello(dst []byte, have Counters) []byte {
 	payload := make([]byte, 0, 2+countersLen)
 	payload = append(payload, MsgHello, Version)
 	payload = appendCounters(payload, have)
-	return frame(dst, payload)
+	return wire.AppendFrame(dst, payload)
 }
 
 // AppendSnapshot appends a framed checkpoint transfer.
@@ -147,7 +143,7 @@ func AppendHeartbeat(dst []byte, at Counters) []byte {
 	payload := make([]byte, 0, 1+countersLen)
 	payload = append(payload, MsgHeartbeat)
 	payload = appendCounters(payload, at)
-	return frame(dst, payload)
+	return wire.AppendFrame(dst, payload)
 }
 
 // ParseMessage decodes one frame payload. Message.Data aliases payload.

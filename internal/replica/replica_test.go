@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -351,4 +352,63 @@ func BenchmarkAppendRecordFrame(b *testing.B) {
 		buf = AppendRecord(buf[:0], rec)
 	}
 	_ = fmt.Sprint(len(buf))
+}
+
+// TestFollowerDrainsBufferedTailOnStop pins the promotion guarantee: a
+// stop that lands while shipped record frames already sit in the
+// follower's read buffer must apply every one of them before Run
+// returns, and stop quietly at a trailing frame that is not complete.
+func TestFollowerDrainsBufferedTailOnStop(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	const n = 5
+	var blob []byte
+	blob = AppendSnapshot(blob, 1, []byte("snapshot"))
+	for i := 0; i < n; i++ {
+		blob = AppendRecord(blob, []byte(fmt.Sprintf("rec-%d", i)))
+	}
+	partial := AppendRecord(nil, []byte("never-complete"))
+	blob = append(blob, partial[:len(partial)-3]...)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		// One write, so the follower's first read buffers the snapshot
+		// together with the whole tail.
+		conn.Write(blob)
+		io.Copy(io.Discard, conn)
+	}()
+
+	var sink followerSink
+	cfg := sink.config(ln.Addr().String(), 5*time.Second)
+	stop := make(chan struct{})
+	// Stop while the snapshot is applied: the records behind it are
+	// buffered and unread.
+	cfg.OnSnapshot = func(uint64, []byte) error { close(stop); return nil }
+	f := NewFollower(cfg)
+	done := make(chan error, 1)
+	go func() { done <- f.Run(stop) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Run after stop: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return after stop")
+	}
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	if len(sink.records) != n {
+		t.Fatalf("applied %d records before returning, want %d: %q", len(sink.records), n, sink.records)
+	}
+	for i, rec := range sink.records {
+		if want := fmt.Sprintf("rec-%d", i); rec != want {
+			t.Fatalf("record %d = %q, want %q", i, rec, want)
+		}
+	}
 }
